@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import batched_operator_norms, canonical_json
+from .linalg import batched_operator_norms
 
 __all__ = [
     "DiscreteMatrixMeasure",
@@ -217,6 +217,45 @@ def measure_from_json(obj) -> DiscreteMatrixMeasure:
     raw = obj["atoms"]
     if not isinstance(raw, list):
         raise ValueError('measure JSON: "atoms" must be a list')
+    arrays = _atom_arrays(raw, n)
+    if arrays is None:
+        arrays = _atom_arrays_one_by_one(raw, n)
+    return DiscreteMatrixMeasure(*arrays, N=nsteps, source="json")
+
+
+def _atom_arrays(raw: list, n: int):
+    """(locations, weights) of well-formed atoms, converted one whole array at a time.
+
+    Returns None when any atom is malformed (or the list is empty), so that
+    the atom-by-atom reader can name the first bad atom with its message.
+    """
+    lams, res, ims = [], [], []
+    for atom in raw:
+        if not isinstance(atom, dict) or "lambda" not in atom or "weight" not in atom:
+            return None
+        w = atom["weight"]
+        if not isinstance(w, dict) or "re" not in w:
+            return None
+        lams.append(atom["lambda"])
+        res.append(w["re"])
+        ims.append(w.get("im"))
+    if any(im is None for im in ims):
+        zero = [[0.0] * n] * n
+        ims = [zero if im is None else im for im in ims]
+    try:
+        # float() per location keeps the atom-by-atom reader's rules (None fails)
+        locs = np.fromiter(map(float, lams), dtype=float, count=len(lams))
+        re = np.array(res, dtype=float)
+        im = np.array(ims, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if re.shape != (len(raw), n, n) or im.shape != re.shape:
+        return None
+    return locs, re + 1j * im
+
+
+def _atom_arrays_one_by_one(raw: list, n: int):
+    """(locations, weights) read atom by atom; raises on the first malformed atom."""
     locs = np.zeros(len(raw))
     weights = np.zeros((len(raw), n, n), dtype=np.complex128)
     for k, atom in enumerate(raw):
@@ -238,7 +277,7 @@ def measure_from_json(obj) -> DiscreteMatrixMeasure:
         if re.shape != (n, n) or im.shape != (n, n):
             raise ValueError(f"measure JSON: atom {k} weight must be {n}x{n}")
         weights[k] = re + 1j * im
-    return DiscreteMatrixMeasure(locs, weights, N=nsteps, source="json")
+    return locs, weights
 
 
 def read_measure(path) -> DiscreteMatrixMeasure:
@@ -247,9 +286,29 @@ def read_measure(path) -> DiscreteMatrixMeasure:
     return measure_from_json(obj)
 
 
+def _fill_rows(row: str, data: np.ndarray, sep: str = "") -> str:
+    """`row` (one %.17g per column of data) filled for every row of data in one % operation.
+
+    '%.17g' % x and format(x, '.17g') are the same conversion, so the text
+    matches canonical_json's number for number.
+    """
+    return sep.join([row] * len(data)) % tuple(data.ravel().tolist())
+
+
 def write_measure(path, m: DiscreteMatrixMeasure) -> None:
+    """Write canonical_json(measure_to_json(m)) + "\n", formatted a whole array at a time."""
+    n, count = m.dim, len(m)
+    data = np.empty((count, 1 + 2 * n * n))
+    data[:, 0] = m.locations
+    data[:, 1:1 + n * n] = m.weights.real.reshape(count, n * n)
+    data[:, 1 + n * n:] = m.weights.imag.reshape(count, n * n)
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite number in JSON payload")
+    matrix = "[" + ",".join(["[" + ",".join(["%.17g"] * n) + "]"] * n) + "]"
+    atom = '{"lambda":%.17g,"weight":{"re":' + matrix + ',"im":' + matrix + "}}"
+    nsteps = "null" if m.N is None else str(int(m.N))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(canonical_json(measure_to_json(m)) + "\n")
+        fh.write(f'{{"n":{n},"N":{nsteps},"atoms":[{_fill_rows(atom, data, ",")}]}}\n')
 
 
 def write_trace_csv(path, m) -> None:
@@ -258,10 +317,6 @@ def write_trace_csv(path, m) -> None:
     Accepts a TraceMeasure or a DiscreteMatrixMeasure (traced on the fly).
     """
     tm = trace_measure(m) if isinstance(m, DiscreteMatrixMeasure) else m
-    lines = ["lambda,weight_re,weight_im"]
-    for l, w in zip(tm.locations, tm.weights):
-        lines.append(
-            f"{float(l):.17g},{float(w.real):.17g},{float(w.imag):.17g}"
-        )
+    data = np.column_stack([tm.locations, tm.weights.real, tm.weights.imag])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("lambda,weight_re,weight_im\n" + _fill_rows("%.17g,%.17g,%.17g\n", data))

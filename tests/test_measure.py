@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from liemeasure.linalg import canonical_json, matrix_exp, operator_norm
 from liemeasure.measure import (
@@ -169,6 +172,13 @@ def test_read_write_measure(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_write_measure_refuses_non_finite(tmp_path):
+    m = two_atom_measure()
+    m.weights[1, 0, 1] = np.nan  # the arrays stay writable after validation
+    with pytest.raises(ValueError, match="^non-finite number in JSON payload$"):
+        write_measure(tmp_path / "m.json", m)
+
+
 def test_write_trace_csv(tmp_path):
     path = tmp_path / "t.csv"
     write_trace_csv(path, two_atom_measure())
@@ -179,3 +189,92 @@ def test_write_trace_csv(tmp_path):
     # a trace measure works directly too
     write_trace_csv(path, trace_measure(two_atom_measure()))
     assert path.read_text().splitlines() == lines
+
+
+def _identity_atom(lam=0.0):
+    return {"lambda": lam, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}}
+
+
+@pytest.mark.parametrize(
+    "bad_atom, message",
+    [
+        ([0.0, [[1.0]]], 'atom 1 needs "lambda" and "weight"'),
+        ({"weight": {"re": [[1.0, 0.0], [0.0, 1.0]]}}, 'atom 1 needs "lambda" and "weight"'),
+        ({"lambda": 1.0}, 'atom 1 needs "lambda" and "weight"'),
+        ({"lambda": None, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]]}}, "atom 1 has a bad location"),
+        ({"lambda": [1.0], "weight": {"re": [[1.0, 0.0], [0.0, 1.0]]}}, "atom 1 has a bad location"),
+        ({"lambda": "one", "weight": {"re": [[1.0, 0.0], [0.0, 1.0]]}}, "atom 1 has a bad location"),
+        ({"lambda": 1.0, "weight": [[1.0, 0.0], [0.0, 1.0]]}, 'atom 1 weight needs "re"'),
+        ({"lambda": 1.0, "weight": {"im": [[1.0, 0.0], [0.0, 1.0]]}}, 'atom 1 weight needs "re"'),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, "x"], [0.0, 1.0]]}}, "atom 1 weight entries must be numbers"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, {}], [0.0, 1.0]]}}, "atom 1 weight entries must be numbers"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, [0.0]], [0.0, 0.0]]}},
+         "atom 1 weight entries must be numbers"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0], [0.0]]}}, "atom 1 weight entries must be numbers"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0]]}}, "atom 1 weight must be 2x2"),
+        ({"lambda": 1.0, "weight": {"re": 1.0}}, "atom 1 weight must be 2x2"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0]]}}, "atom 1 weight must be 2x2"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0, 0.0]] * 3}}, "atom 1 weight must be 2x2"),
+    ],
+)
+def test_measure_from_json_malformed_atom(bad_atom, message):
+    obj = {"n": 2, "N": 1, "atoms": [_identity_atom(0.0), bad_atom, _identity_atom(2.0)]}
+    with pytest.raises(ValueError, match=f"^measure JSON: {re.escape(message)}$"):
+        measure_from_json(obj)
+
+
+def test_measure_from_json_reports_first_bad_atom():
+    # atom 1 fails on its entries, atom 2 on its structure: the earlier atom is named
+    entries = {"lambda": 1.0, "weight": {"re": [[1.0, "x"], [0.0, 1.0]]}}
+    obj = {"n": 2, "N": 1, "atoms": [_identity_atom(0.0), entries, {"lambda": 2.0}]}
+    with pytest.raises(ValueError, match="^measure JSON: atom 1 weight entries must be numbers$"):
+        measure_from_json(obj)
+
+
+def test_measure_from_json_optional_imaginary_part_and_empty_atoms():
+    atom = {"lambda": 0.5, "weight": {"re": [[1.0, 2.0], [3.0, 4.0]]}}
+    m = measure_from_json({"n": 2, "N": 3, "atoms": [atom, _identity_atom(1.0)]})
+    assert np.array_equal(m.locations, [0.5, 1.0])
+    assert np.array_equal(m.weights[0], [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(m.weights.imag, np.zeros((2, 2, 2)))
+    empty = measure_from_json({"n": 3, "N": None, "atoms": []})
+    assert len(empty) == 0 and empty.dim == 3 and empty.N is None
+    assert empty.weights.shape == (0, 3, 3)
+
+
+def _trace_csv_one_row_at_a_time(tm) -> str:
+    """Trace CSV text as the per-row writer produced it: the reference for write_trace_csv."""
+    lines = ["lambda,weight_re,weight_im"]
+    for l, w in zip(tm.locations, tm.weights):
+        lines.append(f"{float(l):.17g},{float(w.real):.17g},{float(w.imag):.17g}")
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@seed(20260816)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_measure_io_is_byte_identical_to_canonical_json(tmp_path_factory, data):
+    n = data.draw(st.integers(min_value=1, max_value=4), label="n")
+    locs = sorted(data.draw(st.lists(_FLOATS, max_size=40, unique=True), label="locations"))
+    k = len(locs)
+    parts = data.draw(st.lists(_FLOATS, min_size=2 * k * n * n, max_size=2 * k * n * n), label="weights")
+    nsteps = data.draw(st.none() | st.integers(min_value=1, max_value=10**6), label="N")
+    parts = np.array(parts, dtype=float).reshape(2, k, n, n)
+    m = DiscreteMatrixMeasure(np.array(locs, dtype=float), parts[0] + 1j * parts[1], N=nsteps)
+
+    path = tmp_path_factory.mktemp("io") / "m.json"
+    write_measure(path, m)
+    assert path.read_text(encoding="ascii") == canonical_json(measure_to_json(m)) + "\n"
+    back = read_measure(path)
+    assert np.array_equal(back.locations, m.locations)
+    assert np.array_equal(back.weights, m.weights)
+    assert back.N == nsteps and back.dim == n
+
+    tm = TraceMeasure(m.locations, parts[0, :, 0, 0] + 1j * parts[1, :, 0, 0])
+    csv_path = path.with_suffix(".csv")
+    write_trace_csv(csv_path, tm)
+    assert csv_path.read_text(encoding="ascii") == _trace_csv_one_row_at_a_time(tm)
