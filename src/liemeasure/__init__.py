@@ -17,7 +17,6 @@ from .approximant import (
     compositions,
     lie_approximant,
     n_convex_hull,
-    verify_transform_identity,
 )
 from .experiments import (
     ConvergencePoint,
@@ -122,7 +121,6 @@ __all__ = [
     "trace_measure",
     "transform_distance",
     "truth_exponential",
-    "verify_transform_identity",
     "write_convergence_csv",
     "write_convergence_json",
     "write_matrix",

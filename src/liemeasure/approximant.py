@@ -17,20 +17,20 @@ program over composition prefixes that reuses partial products.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    ResourceLimitError,
+    LATTICE_LIMIT,
     as_matrix,
     batched_operator_norms,
+    guarded_count,
     matrix_exp,
     require_hermitian,
     tuple_factor_products,
 )
-from .measure import DiscreteMatrixMeasure, laplace_transform
+from .measure import DiscreteMatrixMeasure
 from .spectral import SpectralDecomposition, decompose
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "commuting_case_measure",
     "build_measure_bruteforce",
     "build_measure_dp",
-    "verify_transform_identity",
 ]
 
 
@@ -57,16 +56,12 @@ class ApproximantConfig:
     N: int
     cluster_tol: float = 1e-8
     merge_tol: float = 1e-9
-    enumeration_guard: int = 10**6
-    state_guard: int = 5_000_000
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise ValueError("N must be a positive integer")
         if not (self.cluster_tol >= 0 and self.merge_tol >= 0):
             raise ValueError("tolerances must be non-negative")
-        if self.enumeration_guard < 1 or self.state_guard < 1:
-            raise ValueError("guards must be positive")
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -180,18 +175,13 @@ def _collapse(
 def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
     """Enumerate all l^N index tuples, multiply out, and group by composition.
 
-    The oracle builder: transparent but exponential. Guarded by
-    cfg.enumeration_guard; the accumulated sum of per-tuple product norms is
-    kept on the result as tuple_norm_sum.
+    The oracle builder: transparent but exponential, so refused beyond
+    linalg.ENUMERATION_LIMIT tuples; the accumulated sum of per-tuple product
+    norms is kept on the result as tuple_norm_sum.
     """
     dec, factors = _prepare(a, b, cfg)
     l = len(dec)
-    # log-space comparison: l**N may be too large to materialize or format
-    if l > 1 and cfg.N * math.log(l) > math.log(cfg.enumeration_guard) + 1e-9:
-        raise ResourceLimitError(
-            f"bruteforce needs {l}**{cfg.N} tuples, guard is {cfg.enumeration_guard}"
-        )
-    idx, prods = tuple_factor_products(factors, cfg.N, cfg.enumeration_guard)
+    idx, prods = tuple_factor_products(factors, cfg.N)
     norm_sum = float(batched_operator_norms(prods).sum())
     counts = np.stack([(idx == j).sum(axis=1) for j in range(l)], axis=1)
     unique_counts, inverse = np.unique(counts, axis=0, return_inverse=True)
@@ -214,30 +204,15 @@ def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
     Keys are stored on a dense (N+1)^(l-1) lattice indexed by (n_1, ...,
     n_(l-1)), the last tally being implied by the layer number; the key shift
     key - e_j is then an array slice, so each layer is l batched matrix
-    multiplications. Only the current and previous layers are retained.
+    multiplications. Only the current and previous layers are retained. For
+    l = 1 the lattice has no axes and one cell, so the layers multiply out
+    e^(b/N) left to right. Refused beyond linalg.LATTICE_LIMIT cells.
     """
     dec, factors = _prepare(a, b, cfg)
     l = len(dec)
     n = dec.source_dim
     big_n = cfg.N
-
-    if l == 1:
-        g = np.eye(n, dtype=np.complex128)
-        for _ in range(big_n):
-            g = g @ factors[0]
-        return _collapse(
-            np.array([[big_n]], dtype=np.int64), g[np.newaxis], dec, cfg, "dp"
-        )
-
-    if (l - 1) * math.log(big_n + 1) > math.log(cfg.state_guard) + 1e-9:
-        raise ResourceLimitError(
-            f"dp needs (1+{big_n})**{l - 1} states, guard is {cfg.state_guard}"
-        )
-    lattice_cells = (big_n + 1) ** (l - 1)
-    if lattice_cells > cfg.state_guard:
-        raise ResourceLimitError(
-            f"dp needs {lattice_cells} states, guard is {cfg.state_guard}"
-        )
+    lattice_cells = guarded_count("DP lattice cells", big_n + 1, l - 1, LATTICE_LIMIT)
     shape = (big_n + 1,) * (l - 1)
     g = np.zeros(shape + (n, n), dtype=np.complex128)
     g[(0,) * (l - 1)] = np.eye(n)
@@ -263,22 +238,9 @@ def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
             nxt[dst] += right_multiply(g[cube], factors[j])
         g = nxt
 
-    idx = np.indices(shape).reshape(l - 1, -1).T  # C order = lexicographic
+    idx = np.indices(shape).reshape(l - 1, lattice_cells).T  # C order = lexicographic
     sums = idx.sum(axis=1)
     valid = sums <= big_n
     counts = np.hstack([idx[valid], (big_n - sums[valid])[:, np.newaxis]])
     weights = g.reshape(-1, n, n)[valid]
     return _collapse(counts, weights, dec, cfg, "dp")
-
-
-def verify_transform_identity(a, b, cfg: ApproximantConfig, t_grid) -> float:
-    """max over the grid of ||transform(M_N, t) - L_N(t)||; the two agree by construction."""
-    grid = [complex(t) for t in t_grid]
-    if not grid:
-        raise ValueError("t_grid must be non-empty")
-    m = build_measure_dp(a, b, cfg)
-    worst = 0.0
-    for t in grid:
-        diff = laplace_transform(m, t) - lie_approximant(a, b, t, cfg.N)
-        worst = max(worst, float(np.linalg.norm(diff, 2)))
-    return worst

@@ -24,12 +24,19 @@ from .experiments import (
     write_convergence_csv,
     write_convergence_json,
 )
-from .linalg import ResourceLimitError, canonical_json, operator_norm, read_matrix
+from .linalg import (
+    ResourceLimitError,
+    batched_operator_norms,
+    canonical_json,
+    operator_norm,
+    read_matrix,
+)
 from .measure import (
     laplace_transform,
     read_measure,
     support_interval,
     total_variation,
+    trace_measure,
     write_measure,
     write_trace_csv,
 )
@@ -205,8 +212,8 @@ def cmd_counterexample(args) -> int:
 
 def cmd_plot(args) -> int:
     m = read_measure(args.measure)
-    norms = [operator_norm(w) for w in m.weights]
-    traces = [complex(np.trace(w)) for w in m.weights]
+    norms = batched_operator_norms(m.weights)
+    traces = trace_measure(m).weights[:, 0, 0]
     dat_path = args.out + ".dat"
     gp_path = args.out + ".gp"
     rows = ["# lambda\topnorm\ttrace_re\ttrace_im"]

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approximant import ApproximantConfig, build_measure_dp, lie_approximant
-from .linalg import as_matrix, hermitian_defect, matrix_exp, operator_norm, require_hermitian
+from .linalg import (
+    as_matrix,
+    canonical_json,
+    hermitian_defect,
+    is_psd,
+    matrix_exp,
+    operator_norm,
+    require_hermitian,
+)
 from .measure import (
     DiscreteMatrixMeasure,
     hermitian_deviation,
@@ -237,8 +245,7 @@ def stahl_trace_study(a, b, n_schedule, t_grid=None) -> StahlTraceReport:
         tm = trace_measure(m)
         err = 0.0
         for t, truth in zip(grid, truths):
-            val = complex(np.sum(np.exp(complex(t) * tm.locations) * tm.weights))
-            err = max(err, abs(val - truth))
+            err = max(err, abs(complex(laplace_transform(tm, t)[0, 0]) - truth))
         points.append(
             TracePoint(n_steps, err, float(tm.weights.real.min()))
         )
@@ -345,8 +352,6 @@ def counterexample_demo(n_schedule=None) -> CounterexampleResult:
         rows.append((n_steps, m1, err))
         if onset is None and float(np.linalg.det(m1).real) < 0.0:
             onset = n_steps
-    from .linalg import is_psd  # local import to keep module import light
-
     return CounterexampleResult(
         d_matrix=d,
         det_d=det_d,
@@ -408,7 +413,5 @@ def convergence_report_to_json(report: ConvergenceReport) -> dict:
 
 
 def write_convergence_json(path, report: ConvergenceReport) -> None:
-    from .linalg import canonical_json
-
     with open(path, "w", encoding="ascii") as fh:
         fh.write(canonical_json(convergence_report_to_json(report)) + "\n")

@@ -13,6 +13,9 @@ import scipy.linalg
 
 __all__ = [
     "ResourceLimitError",
+    "ENUMERATION_LIMIT",
+    "LATTICE_LIMIT",
+    "guarded_count",
     "as_matrix",
     "adjoint",
     "hermitian_defect",
@@ -21,7 +24,6 @@ __all__ = [
     "entry_abs_sum",
     "matrix_exp",
     "is_psd",
-    "determinant",
     "batched_operator_norms",
     "tuple_factor_products",
     "canonical_json",
@@ -34,6 +36,19 @@ __all__ = [
 
 class ResourceLimitError(RuntimeError):
     """An enumeration or dynamic-programming state budget would be exceeded."""
+
+
+ENUMERATION_LIMIT = 10**6  # index tuples that tuple_factor_products may multiply out
+LATTICE_LIMIT = 5_000_000  # composition-lattice cells that the layered DP may hold
+
+
+def guarded_count(what: str, base: int, exponent: int, limit: int) -> int:
+    """base**exponent; ResourceLimitError, naming it as base**exponent, when over limit."""
+    # log space first: a refused count may be too large to form, let alone format
+    too_big = base > 1 and exponent * math.log(base) > math.log(limit) + 1e-9
+    if too_big or base**exponent > limit:
+        raise ResourceLimitError(f"{what}: {base}**{exponent} exceeds the limit of {limit}")
+    return base**exponent
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -95,17 +110,6 @@ def is_psd(s, tol: float = 1e-9) -> bool:
     return bool(evs.min() >= -tol * scale)
 
 
-def determinant(s) -> complex:
-    """Determinant; closed forms for dims 1 and 2, LU with partial pivoting above."""
-    m = as_matrix(s)
-    n = m.shape[0]
-    if n == 1:
-        return complex(m[0, 0])
-    if n == 2:
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return complex(np.linalg.det(m))
-
-
 def batched_operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (K, n, n) stack."""
     w = np.asarray(stack, dtype=np.complex128)
@@ -116,12 +120,13 @@ def batched_operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w, compute_uv=False)[:, 0]
 
 
-def tuple_factor_products(factors, count: int, guard: int = 10**6):
+def tuple_factor_products(factors, count: int):
     """All products factors[k1] @ ... @ factors[k_count] over index tuples.
 
     Tuples (k1, ..., k_count) run over {0..l-1}^count in lexicographic order.
-    Returns (idx, prods) where idx is (K, count) int32 and prods is (K, n, n).
-    Raises ResourceLimitError when l**count exceeds guard.
+    Returns (idx, prods) where idx is (K, count) int32 and prods is (K, n, n),
+    K = l**count. Raises ResourceLimitError, before allocating, when K exceeds
+    ENUMERATION_LIMIT.
     """
     f = np.asarray(factors, dtype=np.complex128)
     if f.ndim != 3 or f.shape[1] != f.shape[2] or f.shape[0] < 1:
@@ -129,16 +134,7 @@ def tuple_factor_products(factors, count: int, guard: int = 10**6):
     if count < 1:
         raise ValueError("count must be a positive integer")
     l = f.shape[0]
-    # compare in log space first: l**count itself can be too large to even format
-    if l > 1 and count * math.log(l) > math.log(guard) + 1e-9:
-        raise ResourceLimitError(
-            f"tuple enumeration needs {l}**{count} products, guard is {guard}"
-        )
-    total = l**count
-    if total > guard:
-        raise ResourceLimitError(
-            f"tuple enumeration needs {total} products, guard is {guard}"
-        )
+    total = guarded_count("index tuples", l, count, ENUMERATION_LIMIT)
     idx = np.stack(
         np.unravel_index(np.arange(total), (l,) * count), axis=1
     ).astype(np.int32)

@@ -16,7 +16,6 @@ from .linalg import batched_operator_norms
 
 __all__ = [
     "DiscreteMatrixMeasure",
-    "TraceMeasure",
     "laplace_transform",
     "total_variation",
     "support_interval",
@@ -85,31 +84,6 @@ class DiscreteMatrixMeasure:
         return [(float(l), w) for l, w in zip(self.locations, self.weights)]
 
 
-@dataclass(frozen=True)
-class TraceMeasure:
-    """Scalar measure obtained by tracing the weights of a matrix measure."""
-
-    locations: np.ndarray
-    weights: np.ndarray  # (K,) complex
-
-    def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        w = np.asarray(self.weights, dtype=np.complex128)
-        if locs.ndim != 1 or w.shape != locs.shape:
-            raise ValueError("locations and weights must be 1-D of equal length")
-        if not np.all(np.isfinite(locs)):
-            raise ValueError("locations must be finite")
-        if not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
-            raise ValueError("weights must be finite")
-        if np.any(np.diff(locs) <= 0):
-            raise ValueError("locations must be strictly increasing")
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return int(self.locations.size)
-
-
 def _check_transform_args(m: DiscreteMatrixMeasure, t) -> complex:
     t = complex(t)
     if m.locations.size:
@@ -148,11 +122,10 @@ def support_interval(m: DiscreteMatrixMeasure) -> tuple[float, float]:
     return float(m.locations[0]), float(m.locations[-1])
 
 
-def trace_measure(m: DiscreteMatrixMeasure) -> TraceMeasure:
-    """Scalar measure with weights tr(W_k) at the same locations."""
-    return TraceMeasure(
-        m.locations.copy(), np.trace(m.weights, axis1=1, axis2=2)
-    )
+def trace_measure(m: DiscreteMatrixMeasure) -> DiscreteMatrixMeasure:
+    """The n=1 measure with weights tr(W_k), shape (K, 1, 1), at the same locations."""
+    traces = np.trace(m.weights, axis1=1, axis2=2).reshape(-1, 1, 1)
+    return DiscreteMatrixMeasure(m.locations.copy(), traces, N=m.N, source=m.source)
 
 
 def is_nonnegative_measure(m: DiscreteMatrixMeasure, tol: float = 1e-9) -> bool:
@@ -251,7 +224,10 @@ def _atom_arrays(raw: list, n: int):
         return None
     if re.shape != (len(raw), n, n) or im.shape != re.shape:
         return None
-    return locs, re + 1j * im
+    weights = np.empty(re.shape, dtype=np.complex128)
+    # part by part, not re + 1j*im, which loses the sign of a zero part
+    weights.real, weights.imag = re, im
+    return locs, weights
 
 
 def _atom_arrays_one_by_one(raw: list, n: int):
@@ -276,13 +252,14 @@ def _atom_arrays_one_by_one(raw: list, n: int):
             raise ValueError(f"measure JSON: atom {k} weight entries must be numbers") from exc
         if re.shape != (n, n) or im.shape != (n, n):
             raise ValueError(f"measure JSON: atom {k} weight must be {n}x{n}")
-        weights[k] = re + 1j * im
+        weights[k].real, weights[k].imag = re, im
     return locs, weights
 
 
 def read_measure(path) -> DiscreteMatrixMeasure:
     with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
+        # write_measure gives "-0" for -0.0, which int() would read as plain 0
+        obj = json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     return measure_from_json(obj)
 
 
@@ -311,12 +288,12 @@ def write_measure(path, m: DiscreteMatrixMeasure) -> None:
         fh.write(f'{{"n":{n},"N":{nsteps},"atoms":[{_fill_rows(atom, data, ",")}]}}\n')
 
 
-def write_trace_csv(path, m) -> None:
-    """Columns: lambda, weight_re, weight_im (17 significant digits).
+def write_trace_csv(path, m: DiscreteMatrixMeasure) -> None:
+    """Write trace_measure(m) as CSV: lambda, weight_re, weight_im (17 significant digits).
 
-    Accepts a TraceMeasure or a DiscreteMatrixMeasure (traced on the fly).
+    Tracing an n=1 measure, such as one trace_measure returned, keeps its weights.
     """
-    tm = trace_measure(m) if isinstance(m, DiscreteMatrixMeasure) else m
-    data = np.column_stack([tm.locations, tm.weights.real, tm.weights.imag])
+    traces = trace_measure(m).weights[:, 0, 0]
+    data = np.column_stack([m.locations, traces.real, traces.imag])
     with open(path, "w", encoding="ascii") as fh:
         fh.write("lambda,weight_re,weight_im\n" + _fill_rows("%.17g,%.17g,%.17g\n", data))

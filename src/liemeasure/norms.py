@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    ResourceLimitError,
     as_matrix,
     batched_operator_norms,
     matrix_exp,
@@ -137,13 +136,14 @@ def inverse_triangle_sum(parts) -> tuple[float, float]:
     return lhs, rhs
 
 
-def partition_product_bound(projectors, r, count: int, guard: int = 10**6):
+def partition_product_bound(projectors, r, count: int):
     """Sum of norms of all length-count products F_k1 e^(r/count) ... F_kcount e^(r/count).
 
     The F_j must be entrywise non-negative with sum_j F_j = I (within 1e-10)
     and r entrywise non-negative. Returns (sum_of_norms, n*||e^r||); the first
     never exceeds the second. The unnormed products themselves sum to e^r
-    exactly, which is how the bound telescopes.
+    exactly, which is how the bound telescopes. More than
+    linalg.ENUMERATION_LIMIT products raise ResourceLimitError.
     """
     mats = [
         _require_entrywise_nonneg(p, f"projectors[{i}]")
@@ -165,14 +165,9 @@ def partition_product_bound(projectors, r, count: int, guard: int = 10**6):
         raise ValueError(
             f"projectors must sum to the identity (defect {ident_defect:.3e})"
         )
-    l = len(mats)
-    if l**count > guard:
-        raise ResourceLimitError(
-            f"partition product enumeration needs {l**count} tuples, guard is {guard}"
-        )
     step = matrix_exp(rr / count)
     factors = np.matmul(np.stack(mats).astype(np.complex128), step)
-    _, prods = tuple_factor_products(factors, count, guard)
+    _, prods = tuple_factor_products(factors, count)
     sum_norms = float(batched_operator_norms(prods).sum())
     bound = float(n * operator_norm(matrix_exp(rr)))
     return sum_norms, bound

@@ -1,6 +1,7 @@
 """Measure construction for the product approximants, DP against brute force."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from liemeasure.approximant import (
     compositions,
     lie_approximant,
     n_convex_hull,
-    verify_transform_identity,
 )
-from liemeasure.linalg import ResourceLimitError, matrix_exp, operator_norm
+from liemeasure.linalg import ResourceLimitError, matrix_exp, operator_norm, tuple_factor_products
 from liemeasure.measure import laplace_transform, moment, support_interval
+from liemeasure.norms import partition_product_bound
 from liemeasure.sampling import (
     commuting_hermitian_pair,
     hermitian_with_spectrum,
@@ -121,6 +122,23 @@ def test_dp_matches_bruteforce(rng):
         assert m_bf.tuple_norm_sum is not None and m_dp.tuple_norm_sum is None
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n_steps", [1, 5, 64])
+def test_dp_single_eigenvalue_is_the_sequential_product(rng, n, n_steps):
+    # a = c*I has one eigenvalue (l = 1): one atom at c, weight (e^(b/N))^N
+    # multiplied out left to right, bit for bit
+    c = 0.75
+    b = random_matrix(rng, n)
+    m = build_measure_dp(c * np.eye(n), b, ApproximantConfig(N=n_steps))
+    f = matrix_exp(b / n_steps)
+    want = np.eye(n, dtype=np.complex128)
+    for _ in range(n_steps):
+        want = want @ f
+    assert m.locations.tolist() == [c]
+    assert m.weights.shape == (1, n, n)
+    assert m.weights[0].tobytes() == want.tobytes()
+
+
 def test_colliding_composition_locations_merge(rng):
     # evenly spaced eigenvalues force distinct compositions onto shared points
     a = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -142,12 +160,6 @@ def test_transform_identity_random(rng):
             ln = lie_approximant(a, b, t, n_steps)
             err = operator_norm(laplace_transform(m, t) - ln)
             assert err <= 1e-9 * max(1.0, operator_norm(ln))
-
-
-def test_verify_transform_identity_helper(rng):
-    a, b = random_instance(rng)
-    err = verify_transform_identity(a, b, ApproximantConfig(N=6), np.array([0.0, 1.0, -1.0]))
-    assert err <= 1e-10
 
 
 def test_support_and_mass(rng):
@@ -184,19 +196,41 @@ def test_builders_reject_non_hermitian_a(rng):
 
 
 def test_enumeration_guard_trips(rng):
-    a = random_hermitian(rng, 3, scale=2.0)
+    # 3 distinct eigenvalues: 3**40 index tuples, over the 10**6 limit
+    a = hermitian_with_spectrum(rng, spaced_values(rng, 3, min_gap=0.3))
     b = random_matrix(rng, 3)
-    cfg = ApproximantConfig(N=40, enumeration_guard=10**5)
-    with pytest.raises(ResourceLimitError):
-        build_measure_bruteforce(a, b, cfg)
+    with pytest.raises(ResourceLimitError, match=r"3\*\*40 "):
+        build_measure_bruteforce(a, b, ApproximantConfig(N=40))
 
 
 def test_state_guard_trips(rng):
-    lam = spaced_values(rng, 3, min_gap=0.3)
-    a = hermitian_with_spectrum(rng, lam)
+    # 3 distinct eigenvalues: 5001**2 lattice cells, over the 5,000,000 limit
+    a = hermitian_with_spectrum(rng, spaced_values(rng, 3, min_gap=0.3))
     b = random_matrix(rng, 3)
+    with pytest.raises(ResourceLimitError, match=r"5001\*\*2 "):
+        build_measure_dp(a, b, ApproximantConfig(N=5000))
+
+
+@pytest.mark.parametrize(
+    "case", ["bruteforce", "dp", "tuple-products", "partition-20000", "partition-1e9"]
+)
+def test_resource_guards_refuse_before_allocating(rng, case):
+    # each count is far too large to form, let alone allocate: refused at once
+    a = hermitian_with_spectrum(rng, spaced_values(rng, 3, min_gap=0.3))
+    b = random_matrix(rng, 3)
+    projectors = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    r = np.full((2, 2), 0.5)
+    call = {
+        "bruteforce": lambda: build_measure_bruteforce(a, b, ApproximantConfig(N=10**9)),
+        "dp": lambda: build_measure_dp(a, b, ApproximantConfig(N=10**9)),
+        "tuple-products": lambda: tuple_factor_products(np.stack([np.eye(2)] * 3), 10**7),
+        "partition-20000": lambda: partition_product_bound(projectors, r, 20000),
+        "partition-1e9": lambda: partition_product_bound(projectors, r, 10**9),
+    }[case]
+    start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
-        build_measure_dp(a, b, ApproximantConfig(N=5000, state_guard=10**6))
+        call()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_config_validation():
@@ -204,5 +238,3 @@ def test_config_validation():
         ApproximantConfig(N=0)
     with pytest.raises(ValueError):
         ApproximantConfig(N=2, cluster_tol=-1.0)
-    with pytest.raises(ValueError):
-        ApproximantConfig(N=2, state_guard=0)

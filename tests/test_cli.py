@@ -115,6 +115,20 @@ def test_resource_guard_exits_3(tmp_path, pair_files, capsys):
     capsys.readouterr()
 
 
+def test_dp_lattice_guard_exits_3_naming_the_count(tmp_path, capsys):
+    # three distinct eigenvalues: (10**8 + 1)**2 lattice cells
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, np.diag([-1.0, 0.5, 2.0]))
+    write_matrix(b_path, np.full((3, 3), 0.3))
+    assert main([
+        "measure", "--a", str(a_path), "--b", str(b_path), "--steps", "100000000",
+        "--out", str(tmp_path / "m.json"),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ")
+    assert "100000001**2" in err
+
+
 def test_transform_command_error_columns(tmp_path, pair_files, capsys):
     a_path, b_path = pair_files
     out = str(tmp_path / "m.json")

@@ -12,8 +12,8 @@ from liemeasure.linalg import (
     adjoint,
     as_matrix,
     canonical_json,
-    determinant,
     entry_abs_sum,
+    guarded_count,
     hermitian_defect,
     is_psd,
     matrix_exp,
@@ -148,14 +148,6 @@ def test_is_psd():
     assert is_psd(np.zeros((3, 3), dtype=complex))
 
 
-def test_determinant_small_cases(rng):
-    assert determinant(np.array([[5.0]], dtype=complex)) == pytest.approx(5.0)
-    m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert determinant(m) == pytest.approx(-2.0, abs=1e-14)
-    big = rng.normal(size=(4, 4)) + 0j
-    assert determinant(big) == pytest.approx(complex(np.linalg.det(big)), abs=1e-10)
-
-
 def test_tuple_factor_products_enumeration_order():
     f0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     f1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -174,11 +166,16 @@ def test_tuple_factor_products_enumeration_order():
 
 def test_tuple_factor_products_guard():
     f = np.stack([np.eye(2, dtype=complex)] * 3)
-    with pytest.raises(ResourceLimitError):
-        tuple_factor_products(f, 20, guard=1000)
+    with pytest.raises(ResourceLimitError, match=r"^index tuples: 3\*\*20 exceeds the limit of 1000000$"):
+        tuple_factor_products(f, 20)
     # guard compares in log space, so absurd exponents must not overflow
     with pytest.raises(ResourceLimitError):
-        tuple_factor_products(f, 10**7, guard=1000)
+        tuple_factor_products(f, 10**7)
+    # exactly at the limit is allowed: 10**6 = 1000**2
+    assert guarded_count("cells", 1000, 2, 10**6) == 10**6
+    with pytest.raises(ResourceLimitError, match=r"^cells: 1001\*\*2 exceeds the limit of 1000000$"):
+        guarded_count("cells", 1001, 2, 10**6)
+    assert guarded_count("cells", 7, 0, 1) == 1
 
 
 def test_canonical_json_formatting():

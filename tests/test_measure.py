@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from liemeasure.linalg import canonical_json, matrix_exp, operator_norm
 from liemeasure.measure import (
     DiscreteMatrixMeasure,
-    TraceMeasure,
     hermitian_deviation,
     is_nonnegative_measure,
     laplace_transform,
@@ -71,8 +70,9 @@ def test_support_interval_empty_measure():
 
 def test_trace_measure_values():
     tm = trace_measure(two_atom_measure())
-    assert isinstance(tm, TraceMeasure)
-    assert tm.weights.tolist() == [2.0 + 0.0j, 0.0 + 0.0j]
+    assert isinstance(tm, DiscreteMatrixMeasure) and tm.dim == 1
+    assert tm.weights.tolist() == [[[2.0 + 0.0j]], [[0.0 + 0.0j]]]
+    assert np.array_equal(trace_measure(tm).weights, tm.weights)
 
 
 def test_is_nonnegative_measure():
@@ -242,11 +242,12 @@ def test_measure_from_json_optional_imaginary_part_and_empty_atoms():
     assert empty.weights.shape == (0, 3, 3)
 
 
-def _trace_csv_one_row_at_a_time(tm) -> str:
+def _trace_csv_one_row_at_a_time(m) -> str:
     """Trace CSV text as the per-row writer produced it: the reference for write_trace_csv."""
     lines = ["lambda,weight_re,weight_im"]
-    for l, w in zip(tm.locations, tm.weights):
-        lines.append(f"{float(l):.17g},{float(w.real):.17g},{float(w.imag):.17g}")
+    for l, w in zip(m.locations, m.weights):
+        tr = complex(np.trace(w))
+        lines.append(f"{float(l):.17g},{tr.real:.17g},{tr.imag:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -264,7 +265,9 @@ def test_measure_io_is_byte_identical_to_canonical_json(tmp_path_factory, data):
     parts = data.draw(st.lists(_FLOATS, min_size=2 * k * n * n, max_size=2 * k * n * n), label="weights")
     nsteps = data.draw(st.none() | st.integers(min_value=1, max_value=10**6), label="N")
     parts = np.array(parts, dtype=float).reshape(2, k, n, n)
-    m = DiscreteMatrixMeasure(np.array(locs, dtype=float), parts[0] + 1j * parts[1], N=nsteps)
+    weights = np.empty((k, n, n), dtype=np.complex128)
+    weights.real, weights.imag = parts  # parts[0] + 1j*parts[1] would lose -0.0
+    m = DiscreteMatrixMeasure(np.array(locs, dtype=float), weights, N=nsteps)
 
     path = tmp_path_factory.mktemp("io") / "m.json"
     write_measure(path, m)
@@ -273,8 +276,17 @@ def test_measure_io_is_byte_identical_to_canonical_json(tmp_path_factory, data):
     assert np.array_equal(back.locations, m.locations)
     assert np.array_equal(back.weights, m.weights)
     assert back.N == nsteps and back.dim == n
+    # array_equal cannot tell -0.0 from 0.0; the bytes of a second write can
+    again = path.with_name("again.json")
+    write_measure(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
-    tm = TraceMeasure(m.locations, parts[0, :, 0, 0] + 1j * parts[1, :, 0, 0])
     csv_path = path.with_suffix(".csv")
-    write_trace_csv(csv_path, tm)
-    assert csv_path.read_text(encoding="ascii") == _trace_csv_one_row_at_a_time(tm)
+    for traced in (m, DiscreteMatrixMeasure(m.locations, m.weights[:, :1, :1])):
+        want = _trace_csv_one_row_at_a_time(traced)
+        if "inf" in want:  # a trace of huge entries overflows: refused, as ever
+            with pytest.raises(ValueError, match="^weights must be finite$"):
+                write_trace_csv(csv_path, traced)
+            continue
+        write_trace_csv(csv_path, traced)
+        assert csv_path.read_text(encoding="ascii") == want
