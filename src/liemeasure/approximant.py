@@ -12,8 +12,9 @@ expands into a sum of e^(t * mean of N eigenvalues) times products
 over all index tuples (k1, ..., kN). Grouping the tuples by their composition
 vector (how many times each eigenvalue occurs) yields a discrete matrix
 measure whose bilateral Laplace transform is exactly L_N. Two builders are
-provided: exhaustive enumeration over the l^N tuples, and a layered dynamic
-program over composition prefixes that reuses partial products.
+provided: exhaustive enumeration over the l^N tuples (the oracle), and
+evaluation of the step polynomial on a roots-of-unity torus in a's eigenbasis
+followed by one inverse FFT (build_measure_dp, the production builder).
 """
 
 import itertools
@@ -134,9 +135,7 @@ def _prepare(a, b, cfg: ApproximantConfig):
     bm = as_matrix(b, "b")
     if bm.shape[0] != dec.source_dim:
         raise ValueError("a and b must have the same dimension")
-    step = matrix_exp(bm / cfg.N)
-    factors = np.matmul(dec.projectors, step)  # (l, n, n): E_j e^(b/N)
-    return dec, factors
+    return dec, matrix_exp(bm / cfg.N)
 
 
 def _collapse(
@@ -179,9 +178,9 @@ def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeas
     linalg.ENUMERATION_LIMIT tuples; the accumulated sum of per-tuple product
     norms is kept on the result as tuple_norm_sum.
     """
-    dec, factors = _prepare(a, b, cfg)
+    dec, step = _prepare(a, b, cfg)
     l = len(dec)
-    idx, prods = tuple_factor_products(factors, cfg.N)
+    idx, prods = tuple_factor_products(np.matmul(dec.projectors, step), cfg.N)  # E_j e^(b/N)
     norm_sum = float(batched_operator_norms(prods).sum())
     counts = np.stack([(idx == j).sum(axis=1) for j in range(l)], axis=1)
     unique_counts, inverse = np.unique(counts, axis=0, return_inverse=True)
@@ -193,54 +192,33 @@ def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeas
 
 
 def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
-    """Layered dynamic program over composition prefixes.
+    """Evaluate the step polynomial on a roots-of-unity torus and interpolate.
 
-    Layer p holds, for every composition key (n_1, ..., n_l) with sum p, the
-    sum of all length-p products of the factors E_j e^(b/N) whose eigenvalue
-    tallies match the key. Layer 0 is the identity at the zero key, and
-
-        G_p(key) = sum_j G_(p-1)(key - e_j) (E_j e^(b/N)),  j ascending.
-
-    Keys are stored on a dense (N+1)^(l-1) lattice indexed by (n_1, ...,
-    n_(l-1)), the last tally being implied by the layer number; the key shift
-    key - e_j is then an array slice, so each layer is l batched matrix
-    multiplications. Only the current and previous layers are retained. For
-    l = 1 the lattice has no axes and one cell, so the layers multiply out
-    e^(b/N) left to right. Refused beyond linalg.LATTICE_LIMIT cells.
+    L_N(t) = P(z) for z_j = e^(t*lambda_j/N) and P(z) = (sum_j z_j E_j e^(b/N))^N,
+    whose coefficient at z_1^(n_1) ... z_l^(n_l) is the weight of composition
+    (n_1, ..., n_l). In a's eigenbasis V, sum_j z_j E_j = V diag(z_labels) V*;
+    with z_l = 1 (n_l is N minus the rest), one batched matrix power evaluates
+    P at the (N+1)^(l-1) points z_j = e^(-2 pi i m_j/(N+1)), m_j = 0..N, and
+    one inverse FFT over that grid gives every coefficient. The error is
+    absolute, about eps * e^||b||. Refused beyond linalg.LATTICE_LIMIT points.
     """
-    dec, factors = _prepare(a, b, cfg)
+    dec, step = _prepare(a, b, cfg)
     l = len(dec)
     n = dec.source_dim
     big_n = cfg.N
-    lattice_cells = guarded_count("DP lattice cells", big_n + 1, l - 1, LATTICE_LIMIT)
+    points = guarded_count("composition-grid points", big_n + 1, l - 1, LATTICE_LIMIT)
     shape = (big_n + 1,) * (l - 1)
-    g = np.zeros(shape + (n, n), dtype=np.complex128)
-    g[(0,) * (l - 1)] = np.eye(n)
-
-    def right_multiply(block, factor):
-        # right factor is fixed across the batch: one flat GEMM beats a
-        # broadcast loop over thousands of n-by-n products
-        flat = np.ascontiguousarray(block).reshape(-1, n)
-        return (flat @ factor).reshape(block.shape)
-
-    for p in range(big_n):
-        # layer p only populates lattice coordinates up to p, so confine the
-        # update to that prefix cube instead of sweeping the whole lattice
-        sa = p + 1
-        cube = (slice(0, sa),) * (l - 1)
-        nxt = np.zeros_like(g)
-        nxt[cube] = right_multiply(g[cube], factors[l - 1])
-        for j in range(l - 1):
-            dst = tuple(
-                slice(1, sa + 1) if ax == j else slice(0, sa)
-                for ax in range(l - 1)
-            )
-            nxt[dst] += right_multiply(g[cube], factors[j])
-        g = nxt
-
-    idx = np.indices(shape).reshape(l - 1, lattice_cells).T  # C order = lexicographic
-    sums = idx.sum(axis=1)
+    vecs = dec.vectors
+    idx = np.indices(shape).reshape(l - 1, points)  # C order = lexicographic
+    # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
+    expo = np.vstack([idx, np.zeros((1, points), dtype=idx.dtype)])[dec.labels].T
+    roots = np.exp(-2j * np.pi * np.arange(big_n + 1) / (big_n + 1))
+    values = np.linalg.matrix_power(
+        roots[expo][:, :, np.newaxis] * (vecs.conj().T @ step @ vecs), big_n
+    )
+    coeffs = np.fft.ifftn(values.reshape(shape + (n, n)), axes=tuple(range(l - 1)))
+    sums = idx.sum(axis=0)
     valid = sums <= big_n
-    counts = np.hstack([idx[valid], (big_n - sums[valid])[:, np.newaxis]])
-    weights = g.reshape(-1, n, n)[valid]
+    counts = np.hstack([idx.T[valid], (big_n - sums[valid])[:, np.newaxis]])
+    weights = vecs @ coeffs.reshape(points, n, n)[valid] @ vecs.conj().T
     return _collapse(counts, weights, dec, cfg, "dp")

@@ -35,11 +35,11 @@ __all__ = [
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration or dynamic-programming state budget would be exceeded."""
+    """An enumeration or composition-grid budget would be exceeded."""
 
 
 ENUMERATION_LIMIT = 10**6  # index tuples that tuple_factor_products may multiply out
-LATTICE_LIMIT = 5_000_000  # composition-lattice cells that the layered DP may hold
+LATTICE_LIMIT = 5_000_000  # composition-grid points (N+1)**(l-1) that build_measure_dp may evaluate
 
 
 def guarded_count(what: str, base: int, exponent: int, limit: int) -> int:
@@ -223,13 +223,20 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix JSON: entries must be real numbers") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix JSON: entry arrays must have shape ({n}, {n})")
-    return as_matrix(re + 1j * im, "matrix JSON")
+    m = np.empty((n, n), dtype=np.complex128)
+    # part by part, not re + 1j*im, which loses the sign of a zero part
+    m.real, m.imag = re, im
+    return as_matrix(m, "matrix JSON")
+
+
+def _load_json(path):
+    """json.load, but the "-0" that canonical_json writes for -0.0 reads as -0.0, not int 0."""
+    with open(path, "r", encoding="ascii") as fh:
+        return json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
-    return matrix_from_json(obj)
+    return matrix_from_json(_load_json(path))
 
 
 def write_matrix(path, m) -> None:

@@ -7,12 +7,11 @@ an entire matrix-valued function of complex t; moments are the derivatives
 of the transform at t = 0.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import batched_operator_norms
+from .linalg import _load_json, batched_operator_norms
 
 __all__ = [
     "DiscreteMatrixMeasure",
@@ -46,6 +45,8 @@ class DiscreteMatrixMeasure:
     tuple_norm_sum: when built by exhaustive enumeration, the accumulated sum
         of the operator norms of the per-tuple products (an upper bound for
         the total variation)
+
+    locations and weights are stored read-only, as views rather than copies.
     """
 
     locations: np.ndarray
@@ -69,6 +70,9 @@ class DiscreteMatrixMeasure:
             raise ValueError("weights must be finite")
         if np.any(np.diff(locs) <= 0):
             raise ValueError("locations must be strictly increasing")
+        # read-only, so the checks above keep holding; views, so nothing is copied
+        locs, w = locs.view(), w.view()
+        locs.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", w)
 
@@ -257,10 +261,7 @@ def _atom_arrays_one_by_one(raw: list, n: int):
 
 
 def read_measure(path) -> DiscreteMatrixMeasure:
-    with open(path, "r", encoding="ascii") as fh:
-        # write_measure gives "-0" for -0.0, which int() would read as plain 0
-        obj = json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
-    return measure_from_json(obj)
+    return measure_from_json(_load_json(path))
 
 
 def _fill_rows(row: str, data: np.ndarray, sep: str = "") -> str:

@@ -26,11 +26,16 @@ class SpectralDecomposition:
     eigenvalues: (l,) float array, strictly increasing
     projectors:  (l, n, n) complex array, projectors[j] is Hermitian idempotent
     source_dim:  n
+    vectors:     (n, n) unitary eigenbasis V from decompose, else None
+    labels:      (n,) int array, the cluster of each column of V, so that
+                 projectors[j] = V[:, labels == j] V[:, labels == j]*
     """
 
     eigenvalues: np.ndarray
     projectors: np.ndarray
     source_dim: int
+    vectors: np.ndarray | None = None
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -94,8 +99,9 @@ def decompose(a, cluster_tol: float = 1e-8) -> SpectralDecomposition:
         block = v[:, s:e]
         p = block @ block.conj().T
         projectors.append((p + p.conj().T) / 2.0)
+    labels = np.repeat(np.arange(len(eigenvalues)), np.diff(starts))
     return SpectralDecomposition(
-        np.array(eigenvalues), np.stack(projectors), n
+        np.array(eigenvalues), np.stack(projectors), n, vectors=v, labels=labels
     )
 
 

@@ -24,6 +24,7 @@ from liemeasure.sampling import (
     hermitian_with_spectrum,
     random_hermitian,
     random_matrix,
+    scaled_to_norm,
     spaced_values,
 )
 from liemeasure.spectral import decompose
@@ -126,17 +127,46 @@ def test_dp_matches_bruteforce(rng):
 @pytest.mark.parametrize("n_steps", [1, 5, 64])
 def test_dp_single_eigenvalue_is_the_sequential_product(rng, n, n_steps):
     # a = c*I has one eigenvalue (l = 1): one atom at c, weight (e^(b/N))^N
-    # multiplied out left to right, bit for bit
     c = 0.75
     b = random_matrix(rng, n)
-    m = build_measure_dp(c * np.eye(n), b, ApproximantConfig(N=n_steps))
+    cfg = ApproximantConfig(N=n_steps)
+    m = build_measure_dp(c * np.eye(n), b, cfg)
     f = matrix_exp(b / n_steps)
     want = np.eye(n, dtype=np.complex128)
     for _ in range(n_steps):
         want = want @ f
     assert m.locations.tolist() == [c]
     assert m.weights.shape == (1, n, n)
-    assert m.weights[0].tobytes() == want.tobytes()
+    assert operator_norm(m.weights[0] - want) <= 1e-14 * operator_norm(want)
+    # the same build twice gives the same bytes
+    assert build_measure_dp(c * np.eye(n), b, cfg).weights.tobytes() == m.weights.tobytes()
+
+
+def test_dp_decomposes_a_once(rng, monkeypatch):
+    # the builder works in the eigenbasis that decompose already found
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(1) or eigh(h))
+    a, b = random_instance(rng)
+    build_measure_dp(a, b, ApproximantConfig(N=4))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("b_norm", [1.0, 5.0, 10.0])
+@pytest.mark.parametrize(
+    "multiplicities, n_steps", [([4], 8), ([2, 2], 12), ([2, 1, 1], 8), ([1, 1, 1, 1], 6)]
+)
+def test_dp_tail_accuracy_against_bruteforce(rng, multiplicities, n_steps, b_norm):
+    # the interpolation error is absolute, about eps * e^||b||, whatever the
+    # size of the weight, so it is bounded on that scale for l = 1..4
+    l = len(multiplicities)
+    a = hermitian_with_spectrum(rng, spaced_values(rng, l, min_gap=0.5), multiplicities)
+    b = scaled_to_norm(random_matrix(rng, 4), b_norm)
+    cfg = ApproximantConfig(N=n_steps)
+    m_dp = build_measure_dp(a, b, cfg)
+    m_bf = build_measure_bruteforce(a, b, cfg)
+    assert np.array_equal(m_dp.locations, m_bf.locations)
+    assert np.abs(m_dp.weights - m_bf.weights).max() <= 1e-13 * max(1.0, math.exp(b_norm))
 
 
 def test_colliding_composition_locations_merge(rng):

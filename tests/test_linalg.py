@@ -208,6 +208,20 @@ def test_matrix_from_json_validation():
         matrix_from_json({"re": [[1.0]]})
 
 
+def test_matrix_write_read_write_keeps_negative_zeros(tmp_path):
+    m = np.empty((2, 2), dtype=np.complex128)
+    m.real = [[-0.0, 1.0], [2.0, -0.0]]
+    m.imag = [[0.5, -0.0], [0.0, -0.0]]
+    first, second = tmp_path / "m.json", tmp_path / "m2.json"
+    write_matrix(first, m)
+    assert '"re":[[-0,1],[2,-0]],"im":[[0.5,-0],[0,-0]]' in first.read_text()
+    back = read_matrix(first)
+    assert np.array_equal(np.signbit(back.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
+    write_matrix(second, back)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_read_write_matrix_round_trip(tmp_path, rng):
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     path = tmp_path / "m.json"

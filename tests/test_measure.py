@@ -174,9 +174,24 @@ def test_read_write_measure(tmp_path, rng):
 
 def test_write_measure_refuses_non_finite(tmp_path):
     m = two_atom_measure()
-    m.weights[1, 0, 1] = np.nan  # the arrays stay writable after validation
+    weights = m.weights.copy()
+    weights[1, 0, 1] = np.nan
+    object.__setattr__(m, "weights", weights)  # past the constructor's checks
     with pytest.raises(ValueError, match="^non-finite number in JSON payload$"):
         write_measure(tmp_path / "m.json", m)
+
+
+def test_measure_arrays_are_read_only_views():
+    locs = np.array([0.0, 1.0])
+    weights = np.stack([np.eye(2, dtype=complex)] * 2)
+    m = DiscreteMatrixMeasure(locs, weights)
+    with pytest.raises(ValueError, match="read-only"):
+        m.weights[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        m.locations[0] = 2.0
+    # views of the inputs, not copies; the caller's arrays stay writable
+    assert np.shares_memory(m.locations, locs) and np.shares_memory(m.weights, weights)
+    assert locs.flags.writeable and weights.flags.writeable
 
 
 def test_write_trace_csv(tmp_path):

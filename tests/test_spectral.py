@@ -35,6 +35,17 @@ def test_decompose_clusters_near_degenerate():
     assert np.trace(dec.projectors[1]).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_decompose_keeps_the_eigenbasis_and_cluster_labels(rng):
+    a = hermitian_with_spectrum(rng, [-1.0, 0.5, 2.0], [2, 1, 2])
+    dec = decompose(a)
+    v = dec.vectors
+    assert dec.labels.tolist() == [0, 0, 1, 2, 2]
+    assert np.abs(v.conj().T @ v - np.eye(5)).max() <= 1e-12
+    for j, proj in enumerate(dec.projectors):
+        block = v[:, dec.labels == j]
+        assert np.abs(block @ block.conj().T - proj).max() <= 1e-12
+
+
 def test_decompose_keeps_separated_eigenvalues():
     a = np.diag([1.0, 1.0 + 1e-3, 5.0]).astype(complex)
     assert len(decompose(a, cluster_tol=1e-8)) == 3
