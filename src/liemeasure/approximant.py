@@ -50,8 +50,9 @@ __all__ = [
 class ApproximantConfig:
     """Step count and numeric knobs for the measure builders.
 
-    merge_tol is relative to max(1, spectral diameter of a); two candidate
-    atom locations closer than that are fused into one atom (sum of weights).
+    merge_tol is relative to max(1, spectral diameter of a); candidate atom
+    locations are fused into atoms no wider than that (sum of weights, mean
+    location), so a long chain of close neighbours is split, not fused whole.
     """
 
     N: int
@@ -105,15 +106,23 @@ def n_convex_hull(eigenvalues, n_steps: int) -> np.ndarray:
 
 
 def lie_approximant(a, b, t, n_steps: int) -> np.ndarray:
-    """(e^(t*a/n_steps) e^(b/n_steps))^n_steps for Hermitian a and arbitrary b."""
+    """(e^(t*a/n_steps) e^(b/n_steps))^n_steps for Hermitian a and arbitrary b.
+
+    t is a scalar or an array of points; the result has shape t.shape + (n, n).
+    a is diagonalised once, a = V diag(mu) V*, so e^(t*a/N) = V diag(e^(t*mu/N)) V*
+    at every point; e^(b/N) is formed once and one batched matrix power
+    finishes every point.
+    """
     ah = require_hermitian(a, 1e-9, "a")
     bm = as_matrix(b, "b")
     if ah.shape != bm.shape:
         raise ValueError("a and b must have the same dimension")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
-    t = complex(t)
-    step = matrix_exp((t / n_steps) * ah) @ matrix_exp(bm / n_steps)
+    t = np.asarray(t, dtype=np.complex128)
+    mu, vecs = np.linalg.eigh(ah)
+    phases = np.exp(np.multiply.outer(t / n_steps, mu))[..., np.newaxis, :]
+    step = (vecs * phases) @ vecs.conj().T @ matrix_exp(bm / n_steps)
     return np.linalg.matrix_power(step, int(n_steps))
 
 
@@ -138,6 +147,28 @@ def _prepare(a, b, cfg: ApproximantConfig):
     return dec, matrix_exp(bm / cfg.N)
 
 
+def _merge_starts(locs: np.ndarray, tol: float) -> np.ndarray:
+    """Start index of each atom when sorted locations are fused into atoms no wider than tol.
+
+    Locations chained by gaps <= tol form a run. A run no wider than tol is
+    one atom; a wider run is split wherever a location lies more than tol
+    past the first location of its atom, so no atom spans more than tol.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(locs) > tol) + 1))
+    lasts = np.append(starts[1:], locs.size) - 1
+    wide = locs[lasts] - locs[starts] > tol
+    if not wide.any():
+        return starts
+    splits = []
+    for i, last in zip(starts[wide].tolist(), lasts[wide].tolist()):
+        first = locs[i]
+        for j in range(i + 1, last + 1):
+            if locs[j] - first > tol:
+                splits.append(j)
+                first = locs[j]
+    return np.sort(np.concatenate((starts, np.array(splits, dtype=starts.dtype))))
+
+
 def _collapse(
     counts: np.ndarray,
     weights: np.ndarray,
@@ -156,8 +187,7 @@ def _collapse(
     locs = locs[order]
     weights = weights[order]
     span = max(1.0, dec.lambda_max - dec.lambda_min)
-    tol = cfg.merge_tol * span
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(locs) > tol) + 1))
+    starts = _merge_starts(locs, cfg.merge_tol * span)
     merged_loc = np.add.reduceat(locs, starts) / np.diff(
         np.concatenate((starts, [locs.size]))
     )

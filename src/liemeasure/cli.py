@@ -28,7 +28,6 @@ from .linalg import (
     ResourceLimitError,
     batched_operator_norms,
     canonical_json,
-    operator_norm,
     read_matrix,
 )
 from .measure import (
@@ -131,20 +130,21 @@ def cmd_transform(args) -> int:
     m = read_measure(args.measure)
     a = read_matrix(args.a) if args.a else None
     b = read_matrix(args.b) if args.b else None
+    values = laplace_transform(m, grid)
+    if a is not None and b is not None and m.N is not None:
+        err_ln = batched_operator_norms(values - lie_approximant(a, b, grid, m.N))
+    else:
+        err_ln = np.full(grid.size, math.nan)
+    if a is not None and b is not None:
+        truths = np.stack([truth_exponential(a, b, t) for t in grid])
+        err_truth = batched_operator_norms(values - truths)
+    else:
+        err_truth = np.full(grid.size, math.nan)
     buf = io.StringIO()
     buf.write("t_re,t_im,err_vs_LN,err_vs_truth\n")
-    for t in grid:
-        value = laplace_transform(m, t)
-        if a is not None and b is not None and m.N is not None:
-            err_ln = operator_norm(value - lie_approximant(a, b, t, m.N))
-        else:
-            err_ln = math.nan
-        if a is not None and b is not None:
-            err_truth = operator_norm(value - truth_exponential(a, b, t))
-        else:
-            err_truth = math.nan
+    for t, e_ln, e_truth in zip(grid, err_ln, err_truth):
         buf.write(
-            f"{_fmt(t.real)},{_fmt(t.imag)},{_fmt(err_ln)},{_fmt(err_truth)}\n"
+            f"{_fmt(t.real)},{_fmt(t.imag)},{_fmt(e_ln)},{_fmt(e_truth)}\n"
         )
     _write_text(args.out, buf.getvalue())
     return 0

@@ -7,6 +7,7 @@ an entire matrix-valued function of complex t; moments are the derivatives
 of the transform at t = 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,30 +89,43 @@ class DiscreteMatrixMeasure:
         return [(float(l), w) for l, w in zip(self.locations, self.weights)]
 
 
-def _check_transform_args(m: DiscreteMatrixMeasure, t) -> complex:
-    t = complex(t)
-    if m.locations.size:
-        worst = float((t.real * m.locations).max())
+def _contract(coeff: np.ndarray, m: DiscreteMatrixMeasure) -> np.ndarray:
+    """sum_k coeff[..., k] * W_k, shape coeff.shape[:-1] + (n, n), in one einsum.
+
+    einsum sums the atoms in ascending-location order at every grid point, so a
+    point's value does not depend on the grid around it, and moment(m, 0) is
+    laplace_transform(m, 0) bit for bit. A BLAS GEMM would be faster on long
+    grids but sums in another order, which moves the moments' last digits.
+    """
+    flat = coeff.reshape(math.prod(coeff.shape[:-1]), len(m))
+    return np.einsum("tk,kij->tij", flat, m.weights).reshape(coeff.shape[:-1] + (m.dim, m.dim))
+
+
+def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
+    """sum_k e^(t*lambda_k) * W_k at a scalar t or at every point of an array t.
+
+    Returns shape t.shape + (n, n): (n, n) for a scalar, (T, n, n) for a grid
+    of T points. Raises OverflowError, naming the worst Re(t)*lambda on the
+    grid, when some e^(t*lambda_k) would leave the float range.
+    """
+    t = np.asarray(t, dtype=np.complex128)
+    if m.locations.size and t.size:
+        # Re(t)*lambda is largest at an end of both ranges; locations ascend
+        ends = np.multiply.outer([t.real.min(), t.real.max()], m.locations[[0, -1]])
+        worst = float(ends.max())
         if worst > _EXP_ARG_LIMIT:
             raise OverflowError(
                 f"Re(t)*lambda reaches {worst:.6g}, beyond the e^700 float range"
             )
-    return t
-
-
-def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
-    """sum_k e^(t*lambda_k) * W_k, atoms taken in ascending-location order."""
-    t = _check_transform_args(m, t)
-    coeff = np.exp(t * m.locations)
-    return np.einsum("k,kij->ij", coeff, m.weights)
+    return _contract(np.exp(np.multiply.outer(t, m.locations)), m)
 
 
 def moment(m: DiscreteMatrixMeasure, k: int) -> np.ndarray:
-    """sum_k lambda_k^k * W_k; k = 0 gives the total mass."""
+    """sum_j lambda_j^k * W_j; k = 0 gives the total mass, equal to laplace_transform(m, 0)."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError("moment order must be a non-negative integer")
     coeff = m.locations.astype(complex) ** k if k else np.ones(len(m), dtype=complex)
-    return np.einsum("k,kij->ij", coeff, m.weights)
+    return _contract(coeff, m)
 
 
 def total_variation(m: DiscreteMatrixMeasure) -> float:
@@ -156,14 +170,11 @@ def transform_distance(m1: DiscreteMatrixMeasure, m2: DiscreteMatrixMeasure, t_g
     """max over the grid of ||transform(m1, t) - transform(m2, t)||."""
     if m1.dim != m2.dim:
         raise ValueError("measures must share one matrix dimension")
-    grid = [complex(t) for t in t_grid]
-    if not grid:
+    grid = np.asarray(t_grid, dtype=np.complex128).ravel()
+    if not grid.size:
         raise ValueError("t_grid must be non-empty")
-    worst = 0.0
-    for t in grid:
-        d = laplace_transform(m1, t) - laplace_transform(m2, t)
-        worst = max(worst, float(np.linalg.norm(d, 2)))
-    return worst
+    diff = laplace_transform(m1, grid) - laplace_transform(m2, grid)
+    return float(batched_operator_norms(diff).max())
 
 
 # ---------------------------------------------------------------------------

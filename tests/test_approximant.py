@@ -5,9 +5,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from liemeasure.approximant import (
     ApproximantConfig,
+    _merge_starts,
     build_measure_bruteforce,
     build_measure_dp,
     commuting_case_measure,
@@ -82,6 +86,20 @@ def test_lie_approximant_matches_sequential_product(rng):
     for _ in range(n_steps):
         seq = seq @ step
     assert operator_norm(lie_approximant(a, b, t, n_steps) - seq) <= 1e-11
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3), (0,)])
+def test_lie_approximant_on_a_grid_matches_per_point_expm(rng, shape):
+    a = random_hermitian(rng, 3, scale=1.5)
+    b = random_matrix(rng, 3)
+    n_steps = 8
+    t = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    got = lie_approximant(a, b, t, n_steps)
+    assert got.shape == shape + (3, 3)
+    for idx in np.ndindex(shape):
+        step = scipy.linalg.expm(t[idx] * a / n_steps) @ scipy.linalg.expm(b / n_steps)
+        want = np.linalg.matrix_power(step, n_steps)
+        assert np.abs(got[idx] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_single_step_measure_atoms(rng):
@@ -179,6 +197,47 @@ def test_colliding_composition_locations_merge(rng):
     assert len(m_dp) == 9  # locations k/4, k = 0..8
     assert np.abs(m_dp.locations - m_bf.locations).max() <= 1e-12
     assert np.abs(m_dp.weights - m_bf.weights).max() <= 1e-10
+
+
+@pytest.mark.parametrize("gap, n_steps", [(2e-8, 50), (1.5e-8, 30), (5e-8, 64)])
+def test_fused_atoms_span_at_most_merge_tol(rng, gap, n_steps):
+    # 0 and gap are too far apart to cluster, but compositions that differ only
+    # in how they split between them sit gap/N apart: a chain of steps below
+    # merge_tol, gap wide, which must not become one atom
+    a = hermitian_with_spectrum(rng, np.array([0.0, gap, 1.0]), np.array([1, 1, 1]))
+    b = random_matrix(rng, 3, scale=0.5)
+    cfg = ApproximantConfig(N=n_steps)
+    m = build_measure_dp(a, b, cfg)
+    dec = decompose(a)
+    assert len(dec) == 3
+    tol = cfg.merge_tol * max(1.0, dec.lambda_max - dec.lambda_min)
+    candidates = n_convex_hull(dec.eigenvalues, n_steps)
+    # an atom no wider than tol sits within tol of each location fused into it
+    nearest = np.abs(candidates[:, np.newaxis] - m.locations[np.newaxis, :]).min(axis=1)
+    assert nearest.max() <= tol
+    assert operator_norm(moment(m, 0) - matrix_exp(b)) <= 1e-10
+
+
+@seed(20260816)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.4, 0.5, 0.99, 1.0, 1.01, 3.0]) | st.floats(0.0, 2.0), min_size=1, max_size=40),
+    st.floats(1e-9, 1.0),
+)
+def test_merge_starts_fuses_runs_no_wider_than_tol(gaps, tol):
+    locs = np.cumsum(gaps) * tol
+    starts = _merge_starts(locs, tol)
+    ends = np.append(starts[1:], locs.size)
+    assert starts[0] == 0 and np.all(ends > starts)
+    for first, end in zip(starts, ends):
+        assert locs[end - 1] - locs[first] <= tol  # no atom spans more than tol
+        if end < locs.size:
+            assert locs[end] - locs[first] > tol  # an atom takes every location it can
+    # where no run of neighbours within tol is wider than tol, the plain gap rule stands
+    breaks = np.concatenate(([0], np.flatnonzero(np.diff(locs) > tol) + 1))
+    lasts = np.append(breaks[1:], locs.size) - 1
+    if np.all(locs[lasts] - locs[breaks] <= tol):
+        assert np.array_equal(starts, breaks)
 
 
 def test_transform_identity_random(rng):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from liemeasure.linalg import (
     ResourceLimitError,
@@ -140,6 +142,27 @@ def test_as_matrix_validation():
         as_matrix(np.zeros(4))
     out = as_matrix([[1, 2], [3, 4]])
     assert out.dtype == np.complex128 and out.shape == (2, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_as_matrix_rejects_a_non_finite_real_or_imaginary_part(bad, imaginary):
+    m = np.zeros((2, 2), dtype=complex)
+    m[1, 0] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+    with pytest.raises(ValueError, match="^m: entries must be finite$"):
+        as_matrix(m, "m")
+
+
+@seed(20260816)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_operator_norm_and_hermitian_defect_equal_numpy_two_norm_bit_for_bit(n, salt, zero):
+    rng = np.random.default_rng(salt)
+    m = np.zeros((n, n), dtype=complex)
+    if not zero:
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert operator_norm(m) == float(np.linalg.norm(m, 2))
+    assert hermitian_defect(m) == float(np.linalg.norm(m - m.conj().T, 2))
 
 
 def test_is_psd():

@@ -50,9 +50,40 @@ def test_moments_by_hand():
         moment(m, -1)
 
 
+def random_measure(rng, k=50, n=3):
+    locs = np.sort(rng.uniform(-2.0, 2.0, k))
+    weights = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    return DiscreteMatrixMeasure(locs, weights)
+
+
 def test_moment_zero_equals_transform_at_zero():
     m = two_atom_measure()
     assert np.array_equal(moment(m, 0), laplace_transform(m, 0.0))
+    # with many atoms a different summation order would show in the last bits
+    m = random_measure(np.random.default_rng(7), k=500)
+    assert np.array_equal(moment(m, 0), laplace_transform(m, 0.0))
+    assert np.array_equal(moment(m, 0), laplace_transform(m, np.array([1.0, 0.0]))[1])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+def test_laplace_transform_on_a_grid_matches_the_per_point_sum(shape):
+    rng = np.random.default_rng(11)
+    m = random_measure(rng)
+    t = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    got = laplace_transform(m, t)
+    assert got.shape == shape + (3, 3)
+    for idx in np.ndindex(shape):
+        want = np.einsum("k,kij->ij", np.exp(t[idx] * m.locations), m.weights)
+        assert np.abs(got[idx] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_laplace_transform_scalar_and_empty_grids():
+    m = random_measure(np.random.default_rng(3))
+    assert laplace_transform(m, np.array(0.5)).shape == (3, 3)
+    assert np.array_equal(laplace_transform(m, np.array(0.5)), laplace_transform(m, 0.5))
+    assert laplace_transform(m, np.zeros(0)).shape == (0, 3, 3)
+    empty = DiscreteMatrixMeasure(np.zeros(0), np.zeros((0, 2, 2), dtype=complex))
+    assert np.array_equal(laplace_transform(empty, np.arange(4.0)), np.zeros((4, 2, 2)))
 
 
 def test_total_variation_and_support():
@@ -113,6 +144,11 @@ def test_transform_overflow_guard():
     # decay direction underflows harmlessly instead
     val = laplace_transform(far, -1.0)
     assert np.abs(val).max() == 0.0
+    # one bad point spoils the grid; the message names the worst Re(t)*lambda on it
+    both = DiscreteMatrixMeasure(np.array([-800.0, 1.0]), np.stack([np.eye(2, dtype=complex)] * 2))
+    with pytest.raises(OverflowError, match=r"^Re\(t\)\*lambda reaches 1200, "):
+        laplace_transform(both, np.array([0.5, 0.0, -1.5 + 2j, 0.25]))
+    assert laplace_transform(both, np.array([0.5, 0.0, 0.25j])).shape == (3, 2, 2)
 
 
 def test_constructor_validation():
