@@ -17,14 +17,13 @@ evaluation of the step polynomial on a roots-of-unity torus in a's eigenbasis
 followed by one inverse FFT (build_measure_dp, the production builder).
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     LATTICE_LIMIT,
-    as_matrix,
+    as_matrix_pair,
     batched_operator_norms,
     guarded_count,
     matrix_exp,
@@ -66,25 +65,26 @@ class ApproximantConfig:
             raise ValueError("tolerances must be non-negative")
 
 
+def _composition_grid(total: int, parts: int):
+    """The grid {0..total}^(parts-1) and the compositions of total into parts on it.
+
+    Returns (idx, valid, counts): the (parts-1, points) grid in C order, which is
+    lexicographic; the mask of its points that sum to at most total; and those
+    points completed by total minus their sum. Guarded by LATTICE_LIMIT.
+    """
+    points = guarded_count("composition-grid points", total + 1, parts - 1, LATTICE_LIMIT)
+    idx = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, points)
+    sums = idx.sum(axis=0)
+    valid = sums <= total
+    counts = np.hstack([idx.T[valid], (total - sums[valid])[:, np.newaxis]])
+    return idx, valid, counts
+
+
 def compositions(total: int, parts: int) -> np.ndarray:
     """All vectors of `parts` non-negative integers summing to `total`, lexicographic."""
     if parts < 1 or total < 0:
         raise ValueError("need parts >= 1 and total >= 0")
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    combos = np.array(
-        list(itertools.combinations(range(total + parts - 1), parts - 1)),
-        dtype=np.int64,
-    ).reshape(-1, parts - 1)
-    k = combos.shape[0]
-    padded = np.hstack(
-        [
-            np.full((k, 1), -1, dtype=np.int64),
-            combos,
-            np.full((k, 1), total + parts - 1, dtype=np.int64),
-        ]
-    )
-    return np.diff(padded, axis=1) - 1
+    return _composition_grid(total, parts)[2]
 
 
 def composition_locations(counts: np.ndarray, eigenvalues: np.ndarray, n_steps: int) -> np.ndarray:
@@ -113,10 +113,8 @@ def lie_approximant(a, b, t, n_steps: int) -> np.ndarray:
     at every point; e^(b/N) is formed once and one batched matrix power
     finishes every point.
     """
-    ah = require_hermitian(a, 1e-9, "a")
-    bm = as_matrix(b, "b")
-    if ah.shape != bm.shape:
-        raise ValueError("a and b must have the same dimension")
+    am, bm = as_matrix_pair(a, b)
+    ah = require_hermitian(am, 1e-9, "a")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
     t = np.asarray(t, dtype=np.complex128)
@@ -128,10 +126,8 @@ def lie_approximant(a, b, t, n_steps: int) -> np.ndarray:
 
 def commuting_case_measure(a, b, cluster_tol: float = 1e-8) -> DiscreteMatrixMeasure:
     """Atoms (lambda_j, E_j e^b E_j); represents e^(ta) e^b, and e^(ta+b) when ab = ba."""
-    dec = decompose(a, cluster_tol)
-    bm = as_matrix(b, "b")
-    if bm.shape[0] != dec.source_dim:
-        raise ValueError("a and b must have the same dimension")
+    am, bm = as_matrix_pair(a, b)
+    dec = decompose(am, cluster_tol)
     eb = matrix_exp(bm)
     weights = np.matmul(np.matmul(dec.projectors, eb), dec.projectors)
     return DiscreteMatrixMeasure(
@@ -140,11 +136,8 @@ def commuting_case_measure(a, b, cluster_tol: float = 1e-8) -> DiscreteMatrixMea
 
 
 def _prepare(a, b, cfg: ApproximantConfig):
-    dec = decompose(a, cfg.cluster_tol)
-    bm = as_matrix(b, "b")
-    if bm.shape[0] != dec.source_dim:
-        raise ValueError("a and b must have the same dimension")
-    return dec, matrix_exp(bm / cfg.N)
+    am, bm = as_matrix_pair(a, b)
+    return decompose(am, cfg.cluster_tol), matrix_exp(bm / cfg.N)
 
 
 def _merge_starts(locs: np.ndarray, tol: float) -> np.ndarray:
@@ -236,10 +229,10 @@ def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
     l = len(dec)
     n = dec.source_dim
     big_n = cfg.N
-    points = guarded_count("composition-grid points", big_n + 1, l - 1, LATTICE_LIMIT)
+    idx, valid, counts = _composition_grid(big_n, l)
+    points = idx.shape[1]
     shape = (big_n + 1,) * (l - 1)
     vecs = dec.vectors
-    idx = np.indices(shape).reshape(l - 1, points)  # C order = lexicographic
     # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
     expo = np.vstack([idx, np.zeros((1, points), dtype=idx.dtype)])[dec.labels].T
     roots = np.exp(-2j * np.pi * np.arange(big_n + 1) / (big_n + 1))
@@ -247,8 +240,5 @@ def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
         roots[expo][:, :, np.newaxis] * (vecs.conj().T @ step @ vecs), big_n
     )
     coeffs = np.fft.ifftn(values.reshape(shape + (n, n)), axes=tuple(range(l - 1)))
-    sums = idx.sum(axis=0)
-    valid = sums <= big_n
-    counts = np.hstack([idx.T[valid], (big_n - sums[valid])[:, np.newaxis]])
     weights = vecs @ coeffs.reshape(points, n, n)[valid] @ vecs.conj().T
     return _collapse(counts, weights, dec, cfg, "dp")

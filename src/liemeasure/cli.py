@@ -25,9 +25,11 @@ from .experiments import (
     write_convergence_json,
 )
 from .linalg import (
+    LATTICE_LIMIT,
     ResourceLimitError,
     batched_operator_norms,
     canonical_json,
+    guarded_count,
     read_matrix,
 )
 from .measure import (
@@ -70,12 +72,12 @@ def parse_t_grid(spec: str) -> np.ndarray:
     if stop < start:
         raise _UsageError("t grid stop must not precede start")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    points = [complex(start + k * step) for k in range(count)]
-    if m.group(4) is not None:
-        imag = float(m.group(4))
-        if imag != 0.0:
-            points.extend([complex(0.0, imag), complex(0.0, -imag)])
-    return np.array(points, dtype=complex)
+    imag = 0.0 if m.group(4) is None else float(m.group(4))
+    guarded_count("t-grid points", count + 2 * (imag != 0.0), 1, LATTICE_LIMIT)
+    points = (start + np.arange(count) * step).astype(complex)
+    if imag != 0.0:
+        points = np.append(points, [complex(0.0, imag), complex(0.0, -imag)])
+    return points
 
 
 def parse_schedule(spec: str) -> tuple[int, ...]:
@@ -181,8 +183,7 @@ def cmd_converge(args) -> int:
         write_convergence_json(args.out, report)
     else:
         write_convergence_csv(args.out, report)
-    rate = report.rate_estimate
-    print(f"rate_estimate={_fmt(rate if rate is not None else math.nan)}")
+    print(f"rate_estimate={_fmt(report.rate_estimate)}")
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .approximant import ApproximantConfig, build_measure_dp, lie_approximant
 from .linalg import (
-    as_matrix,
+    as_matrix_pair,
     batched_operator_norms,
     canonical_json,
     hermitian_defect,
@@ -74,8 +74,7 @@ def default_t_grid() -> np.ndarray:
 
 def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
     """e^(t*a+b), cross-checked against the spectral route when t*a+b is Hermitian."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
+    am, bm = as_matrix_pair(a, b)
     t = complex(t)
     x = t * am + bm
     direct = matrix_exp(x)
@@ -96,10 +95,7 @@ def exp_curve_derivative(a, b, order: int) -> np.ndarray:
     diagonal and a on the superdiagonal carries (1/order!) times this
     derivative in its upper-right block.
     """
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise ValueError("a and b must have the same dimension")
+    am, bm = as_matrix_pair(a, b)
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise ValueError("order must be a non-negative integer")
     n = am.shape[0]
@@ -116,10 +112,7 @@ def finite_difference_derivative(a, b, h: float = 1e-4) -> np.ndarray:
     """Central difference (e^(h*a+b) - e^(-h*a+b)) / (2h) for d/dt e^(ta+b) at 0."""
     if not (h > 0):
         raise ValueError("h must be positive")
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise ValueError("a and b must have the same dimension")
+    am, bm = as_matrix_pair(a, b)
     return (matrix_exp(h * am + bm) - matrix_exp(-h * am + bm)) / (2.0 * h)
 
 
@@ -164,8 +157,8 @@ def convergence_study(
     grid = default_t_grid() if t_grid is None else np.asarray([complex(t) for t in t_grid])
     if grid.size == 0:
         raise ValueError("t_grid must be non-empty")
-    ah = require_hermitian(a, 1e-9, "a")
-    bm = as_matrix(b, "b")
+    am, bm = as_matrix_pair(a, b)
+    ah = require_hermitian(am, 1e-9, "a")
     truths = np.stack([truth_exponential(ah, bm, t) for t in grid])
     d_truth = np.stack([exp_curve_derivative(ah, bm, k) for k in range(3)])
 

@@ -17,7 +17,7 @@ __all__ = [
     "LATTICE_LIMIT",
     "guarded_count",
     "as_matrix",
-    "adjoint",
+    "as_matrix_pair",
     "hermitian_defect",
     "require_hermitian",
     "operator_norm",
@@ -35,11 +35,12 @@ __all__ = [
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration or composition-grid budget would be exceeded."""
+    """An enumeration, composition-grid or t-grid budget would be exceeded."""
 
 
 ENUMERATION_LIMIT = 10**6  # index tuples that tuple_factor_products may multiply out
-LATTICE_LIMIT = 5_000_000  # composition-grid points (N+1)**(l-1) that build_measure_dp may evaluate
+# composition-grid points (N+1)**(l-1); also t-grid points and T*K transform coefficients
+LATTICE_LIMIT = 5_000_000
 
 
 def guarded_count(what: str, base: int, exponent: int, limit: int) -> int:
@@ -47,7 +48,8 @@ def guarded_count(what: str, base: int, exponent: int, limit: int) -> int:
     # log space first: a refused count may be too large to form, let alone format
     too_big = base > 1 and exponent * math.log(base) > math.log(limit) + 1e-9
     if too_big or base**exponent > limit:
-        raise ResourceLimitError(f"{what}: {base}**{exponent} exceeds the limit of {limit}")
+        count = base if exponent == 1 else f"{base}**{exponent}"
+        raise ResourceLimitError(f"{what}: {count} exceeds the limit of {limit}")
     return base**exponent
 
 
@@ -64,9 +66,12 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
+def as_matrix_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """as_matrix of a and of b, or ValueError unless both have one dimension."""
+    am, bm = as_matrix(a, "a"), as_matrix(b, "b")
+    if am.shape != bm.shape:
+        raise ValueError("a and b must have the same dimension")
+    return am, bm
 
 
 def operator_norm(s) -> float:

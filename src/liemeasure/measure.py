@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _load_json, batched_operator_norms
+from .linalg import LATTICE_LIMIT, _load_json, batched_operator_norms, guarded_count, hermitian_defect
 
 __all__ = [
     "DiscreteMatrixMeasure",
@@ -106,9 +106,12 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
 
     Returns shape t.shape + (n, n): (n, n) for a scalar, (T, n, n) for a grid
     of T points. Raises OverflowError, naming the worst Re(t)*lambda on the
-    grid, when some e^(t*lambda_k) would leave the float range.
+    grid, when some e^(t*lambda_k) would leave the float range, and
+    ResourceLimitError, before allocating, beyond LATTICE_LIMIT coefficients.
     """
     t = np.asarray(t, dtype=np.complex128)
+    guarded_count(f"transform coefficients ({t.size} t-points x {len(m)} atoms)",
+                  t.size * len(m), 1, LATTICE_LIMIT)
     if m.locations.size and t.size:
         # Re(t)*lambda is largest at an end of both ranges; locations ascend
         ends = np.multiply.outer([t.real.min(), t.real.max()], m.locations[[0, -1]])
@@ -150,7 +153,7 @@ def is_nonnegative_measure(m: DiscreteMatrixMeasure, tol: float = 1e-9) -> bool:
     """True iff every atom weight is Hermitian positive semidefinite within tol."""
     for w in m.weights:
         scale = max(1.0, float(np.abs(w).max()) * m.dim)
-        if float(np.linalg.norm(w - w.conj().T, 2)) > tol * scale:
+        if hermitian_defect(w) > tol * scale:
             return False
         h = (w + w.conj().T) / 2.0
         if float(np.linalg.eigvalsh(h).min()) < -tol * scale:

@@ -52,6 +52,17 @@ def _require_entrywise_nonneg(m, name: str) -> np.ndarray:
     return a.real
 
 
+def _nonneg_stack(items, name: str) -> np.ndarray:
+    """(k, n, n) stack of entrywise non-negative matrices of one size, each checked by index."""
+    mats = [_require_entrywise_nonneg(m, f"{name}[{i}]") for i, m in enumerate(items)]
+    if not mats:
+        raise ValueError(f"{name} must be non-empty")
+    for i, m in enumerate(mats):
+        if m.shape != mats[0].shape:
+            raise ValueError(f"{name}[{i}]: dimension mismatch")
+    return np.stack(mats)
+
+
 def is_subordinate(m, s) -> SubordinationWitness:
     """Witness for |m_pq| <= s_pq; s must have real non-negative entries."""
     a = as_matrix(m, "m")
@@ -62,7 +73,7 @@ def is_subordinate(m, s) -> SubordinationWitness:
     flat = int(np.argmin(diff))
     n = a.shape[0]
     slack = float(diff.flat[flat])
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(b, 2)))
+    tol = 1e-12 * max(1.0, operator_norm(b))
     return SubordinationWitness(slack >= -tol, (flat // n, flat % n), slack)
 
 
@@ -123,16 +134,9 @@ def inverse_triangle_sum(parts) -> tuple[float, float]:
     For such parts the sum of operator norms is bounded by n times the norm
     of the sum, the reverse of the triangle inequality up to the factor n.
     """
-    mats = [_require_entrywise_nonneg(p, f"parts[{i}]") for i, p in enumerate(parts)]
-    if not mats:
-        raise ValueError("parts must be non-empty")
-    n = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise ValueError(f"parts[{i}]: dimension mismatch")
-    total = np.add.reduce(np.stack(mats), axis=0)
-    lhs = float(sum(np.linalg.norm(m, 2) for m in mats))
-    rhs = float(n * np.linalg.norm(total, 2))
+    mats = _nonneg_stack(parts, "parts")
+    lhs = sum(operator_norm(m) for m in mats)
+    rhs = mats.shape[1] * operator_norm(np.add.reduce(mats, axis=0))
     return lhs, rhs
 
 
@@ -145,28 +149,20 @@ def partition_product_bound(projectors, r, count: int):
     exactly, which is how the bound telescopes. More than
     linalg.ENUMERATION_LIMIT products raise ResourceLimitError.
     """
-    mats = [
-        _require_entrywise_nonneg(p, f"projectors[{i}]")
-        for i, p in enumerate(projectors)
-    ]
-    if not mats:
-        raise ValueError("projectors must be non-empty")
-    n = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise ValueError(f"projectors[{i}]: dimension mismatch")
+    mats = _nonneg_stack(projectors, "projectors")
+    n = mats.shape[1]
     rr = _require_entrywise_nonneg(r, "r")
     if rr.shape != (n, n):
         raise ValueError("r: dimension mismatch with projectors")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError("count must be a positive integer")
-    ident_defect = np.abs(np.add.reduce(np.stack(mats), axis=0) - np.eye(n)).max()
+    ident_defect = np.abs(np.add.reduce(mats, axis=0) - np.eye(n)).max()
     if ident_defect > 1e-10:
         raise ValueError(
             f"projectors must sum to the identity (defect {ident_defect:.3e})"
         )
     step = matrix_exp(rr / count)
-    factors = np.matmul(np.stack(mats).astype(np.complex128), step)
+    factors = np.matmul(mats.astype(np.complex128), step)
     _, prods = tuple_factor_products(factors, count)
     sum_norms = float(batched_operator_norms(prods).sum())
     bound = float(n * operator_norm(matrix_exp(rr)))

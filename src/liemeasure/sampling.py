@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .linalg import operator_norm
+
 __all__ = [
     "unit_disc_entries",
     "random_matrix",
@@ -68,7 +70,7 @@ def hermitian_with_spectrum(
 
 
 def scaled_to_norm(m: np.ndarray, target: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(m, 2))
+    nrm = operator_norm(m)
     if nrm == 0.0:
         return m
     return m * (target / nrm)
@@ -94,7 +96,7 @@ def noncommuting_hermitian_pair(
     while True:
         a = scaled_to_norm(random_hermitian(rng, n), rng.uniform(0.5, 1.0) * max_norm)
         b = scaled_to_norm(random_hermitian(rng, n), rng.uniform(0.5, 1.0) * max_norm)
-        if np.linalg.norm(a @ b - b @ a, 2) >= min_commutator:
+        if operator_norm(a @ b - b @ a) >= min_commutator:
             return a, b
 
 

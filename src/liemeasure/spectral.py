@@ -1,60 +1,67 @@
 """Spectral decomposition of Hermitian matrices without multiplicities.
 
-A Hermitian matrix a is resolved into strictly increasing distinct eigenvalues
-lambda_1 < ... < lambda_l and orthogonal projectors E_1, ..., E_l onto the
-corresponding eigenspaces, so that
+A Hermitian matrix a is resolved into its unitary eigenbasis V, strictly
+increasing distinct eigenvalues lambda_1 < ... < lambda_l, and the cluster
+label of each column of V. The projectors E_j = V[:, labels == j] V[:, labels == j]*
+onto the eigenspaces are derived from that frame, so that
 
     a = sum_j lambda_j E_j,   sum_j E_j = I,   E_j E_k = delta_jk E_j.
 
-Functions of a are then sums f(lambda_j) E_j.
+Functions of a are then V diag(f(lambda_labels)) V* = sum_j f(lambda_j) E_j.
 """
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, require_hermitian
+from .linalg import require_hermitian
 
 __all__ = ["SpectralDecomposition", "decompose", "apply_function", "scaled_exp"]
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (ascending) with their spectral projectors.
+    """A's eigenbasis with the distinct eigenvalues (ascending) of its clusters.
 
     eigenvalues: (l,) float array, strictly increasing
-    projectors:  (l, n, n) complex array, projectors[j] is Hermitian idempotent
-    source_dim:  n
-    vectors:     (n, n) unitary eigenbasis V from decompose, else None
-    labels:      (n,) int array, the cluster of each column of V, so that
-                 projectors[j] = V[:, labels == j] V[:, labels == j]*
+    vectors:     (n, n) complex array, the unitary eigenbasis V
+    labels:      (n,) int array, the cluster of each column of V; every
+                 cluster 0..l-1 labels at least one column
+
+    All three are stored read-only, as views rather than copies.
     """
 
     eigenvalues: np.ndarray
-    projectors: np.ndarray
-    source_dim: int
-    vectors: np.ndarray | None = None
-    labels: np.ndarray | None = None
+    vectors: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
-        pr = np.asarray(self.projectors, dtype=np.complex128)
+        vecs = np.asarray(self.vectors, dtype=np.complex128)
+        labels = np.asarray(self.labels)
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("eigenvalues must be a non-empty 1-D array")
         if np.any(np.diff(lam) <= 0):
             raise ValueError("eigenvalues must be strictly increasing")
-        n = int(self.source_dim)
-        if pr.shape != (lam.size, n, n):
-            raise ValueError(
-                f"projectors must have shape ({lam.size}, {n}, {n}), got {pr.shape}"
-            )
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "projectors", pr)
-        object.__setattr__(self, "source_dim", n)
+        if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1]:
+            raise ValueError(f"vectors must be a square matrix, got shape {vecs.shape}")
+        if labels.shape != (vecs.shape[0],) or labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be {vecs.shape[0]} integers, one per column of vectors")
+        if not np.array_equal(np.unique(labels), np.arange(lam.size)):
+            raise ValueError(f"labels must name every cluster 0..{lam.size - 1} and no other")
+        # read-only, so the checks above keep holding; views, so nothing is copied
+        for name, x in (("eigenvalues", lam), ("vectors", vecs), ("labels", labels)):
+            object.__setattr__(self, name, x.view())
+            getattr(self, name).flags.writeable = False
 
     def __len__(self) -> int:
         return int(self.eigenvalues.size)
+
+    @property
+    def source_dim(self) -> int:
+        return int(self.vectors.shape[0])
 
     @property
     def lambda_min(self) -> float:
@@ -64,9 +71,20 @@ class SpectralDecomposition:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """(l, n, n), read-only: (p + p*)/2 for p = V_j V_j*, V_j = V[:, labels == j]."""
+        out = np.empty((len(self),) + self.vectors.shape, dtype=np.complex128)
+        for j, proj in enumerate(out):
+            block = self.vectors[:, self.labels == j]
+            p = block @ block.conj().T
+            proj[...] = (p + p.conj().T) / 2.0
+        out.flags.writeable = False
+        return out
+
 
 def decompose(a, cluster_tol: float = 1e-8) -> SpectralDecomposition:
-    """Resolve a Hermitian matrix into distinct eigenvalues and projectors.
+    """Resolve a Hermitian matrix into its eigenbasis and distinct eigenvalues.
 
     Parameters
     ----------
@@ -74,41 +92,22 @@ def decompose(a, cluster_tol: float = 1e-8) -> SpectralDecomposition:
         Hermitian within 1e-9*||a||; the symmetrized (a + a*)/2 is decomposed.
     cluster_tol : float
         Eigenvalues with consecutive gap <= cluster_tol*max(1, ||a||) are
-        merged into one cluster; the cluster eigenvalue is the mean and the
-        projector is the sum over the cluster's eigenvectors.
+        merged into one cluster; the cluster eigenvalue is the mean, summed in
+        ascending order (np.mean's value for clusters of fewer than 8).
     """
     if not (cluster_tol >= 0):
         raise ValueError("cluster_tol must be non-negative")
-    h = require_hermitian(a, 1e-9, "a")
-    n = h.shape[0]
-    w, v = np.linalg.eigh(h)
-    scale = max(1.0, float(np.abs(w).max()))
-    gap = cluster_tol * scale
-
-    # split where the sorted spectrum jumps by more than the cluster width
-    starts = [0]
-    for i in range(1, n):
-        if w[i] - w[i - 1] > gap:
-            starts.append(i)
-    starts.append(n)
-
-    eigenvalues = []
-    projectors = []
-    for s, e in zip(starts[:-1], starts[1:]):
-        eigenvalues.append(float(np.mean(w[s:e])))
-        block = v[:, s:e]
-        p = block @ block.conj().T
-        projectors.append((p + p.conj().T) / 2.0)
-    labels = np.repeat(np.arange(len(eigenvalues)), np.diff(starts))
-    return SpectralDecomposition(
-        np.array(eigenvalues), np.stack(projectors), n, vectors=v, labels=labels
-    )
+    w, v = np.linalg.eigh(require_hermitian(a, 1e-9, "a"))
+    gap = cluster_tol * max(1.0, float(np.abs(w).max()))
+    # a new cluster starts wherever the sorted spectrum jumps by more than gap
+    labels = np.cumsum(np.diff(w, prepend=w[0]) > gap)
+    return SpectralDecomposition(np.bincount(labels, weights=w) / np.bincount(labels), v, labels)
 
 
 def apply_function(d: SpectralDecomposition, f) -> np.ndarray:
-    """sum_j f(lambda_j) E_j for a scalar function f of a real variable."""
+    """V diag(f(lambda_labels)) V* = sum_j f(lambda_j) E_j for a scalar function f of a real."""
     vals = np.array([complex(f(float(lam))) for lam in d.eigenvalues])
-    return np.einsum("j,jpq->pq", vals, d.projectors)
+    return (d.vectors * vals[d.labels]) @ d.vectors.conj().T
 
 
 def scaled_exp(d: SpectralDecomposition, t, scale: int) -> np.ndarray:

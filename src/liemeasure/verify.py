@@ -79,7 +79,7 @@ def _run(name: str, trials: int, gen) -> LemmaResult:
 
 
 def _witness_margin(witness, majorant) -> float:
-    return witness.slack + 1e-12 * max(1.0, float(np.linalg.norm(majorant, 2)))
+    return witness.slack + 1e-12 * max(1.0, operator_norm(majorant))
 
 
 # -------------------------------------------------------------- norms suite
@@ -489,12 +489,18 @@ def run_lemma(fn, trials: int, seed: int, max_dim: int = 4, min_gap: float = 0.0
 def run_suite(
     suite: str, trials: int, seed: int, max_dim: int = 4, min_gap: float = 0.0
 ) -> list[LemmaResult]:
+    """Run the lemmas of one suite, or of all; max_dim may be 1 only for the norms suite."""
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    min_dim = 1 if names == ["norms"] else 2
+    if max_dim < min_dim:
+        raise ValueError(f"max_dim must be at least {min_dim} for suite {suite!r}, got {max_dim}")
     results = []
     for name in names:
         for fn in SUITES[name]:

@@ -4,6 +4,7 @@ All invocations run in-process through cli.main to keep the suite fast.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -239,3 +240,67 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["measure", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_mismatched_a_and_b_give_one_message(tmp_path, capsys):
+    # 3x3 a with 2x2 b: every command that reads both names the mismatch
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, np.diag([-1.0, 0.5, 2.0]))
+    write_matrix(b_path, np.full((2, 2), 0.3))
+    out = str(tmp_path / "m.json")
+    write_matrix(tmp_path / "b3.json", np.full((3, 3), 0.3))
+    assert main(["measure", "--a", str(a_path), "--b", str(tmp_path / "b3.json"),
+                 "--steps", "4", "--out", out]) == 0
+    capsys.readouterr()
+    calls = [
+        ["measure", "--a", str(a_path), "--b", str(b_path), "--steps", "4", "--out", out],
+        ["converge", "--a", str(a_path), "--b", str(b_path), "--schedule", "4,8",
+         "--out", str(tmp_path / "c.csv")],
+        ["transform", "--measure", out, "--a", str(a_path), "--b", str(b_path)],
+    ]
+    for argv in calls:
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err == "invalid input: a and b must have the same dimension\n", argv[0]
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("tgrid", ["0:1:1e-6", "0:1:1e-12"])
+def test_transform_grid_guard_exits_3_before_allocating(tmp_path, pair_files, capsys, tgrid):
+    # 1e-6: 10**6 + 1 points pass the t-grid guard, but 9 atoms make 9,000,009
+    # coefficients; 1e-12: 10**12 + 1 points are refused before any is built
+    a_path, b_path = pair_files
+    out = str(tmp_path / "m.json")
+    assert main(["measure", "--a", a_path, "--b", b_path, "--steps", "8", "--out", out]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["transform", "--measure", out, "--a", a_path, "--b", b_path, "--tgrid", tgrid])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 0.5
+    assert err.startswith("resource limit: ") and "Traceback" not in err
+    want = "9000009" if tgrid == "0:1:1e-6" else "t-grid points: 1000000000001 "
+    assert want in err
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["--suite", "norms", "--trials", "0"], "trials must be at least 1, got 0"),
+        (["--suite", "all", "--trials", "-3"], "trials must be at least 1, got -3"),
+        (["--suite", "all", "--max-dim", "0"], "max_dim must be at least 2 for suite 'all', got 0"),
+        (["--suite", "spectral", "--max-dim", "1"], "max_dim must be at least 2 for suite 'spectral', got 1"),
+        (["--suite", "norms", "--max-dim", "0"], "max_dim must be at least 1 for suite 'norms', got 0"),
+    ],
+)
+def test_verify_rejects_empty_or_undrawable_runs(capsys, argv, bad):
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {bad}\n"
+
+
+def test_verify_norms_suite_runs_at_max_dim_1(capsys):
+    assert main(["verify", "--suite", "norms", "--trials", "5", "--max-dim", "1"]) == 0
+    assert capsys.readouterr().out.count("PASS ") == 4

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from liemeasure.linalg import matrix_exp, operator_norm
 from liemeasure.sampling import hermitian_with_spectrum, random_hermitian, spaced_values
@@ -114,6 +116,61 @@ def test_scaled_exp_rejects_bad_scale(rng):
 
 
 def test_spectral_decomposition_validates_ordering():
-    eye = np.eye(2, dtype=complex)[np.newaxis]
-    with pytest.raises(ValueError):
-        SpectralDecomposition(np.array([2.0, 1.0]), np.repeat(eye, 2, axis=0), 2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2), np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "vectors, labels, message",
+    [
+        (np.eye(3)[:, :2], np.array([0, 1, 1]), "square"),
+        (np.eye(3), np.array([0, 1]), "one per column"),
+        (np.eye(3), np.array([0, 2, 2]), "every cluster"),
+        (np.eye(3), np.array([0.0, 1.0, 1.0]), "integers"),
+    ],
+)
+def test_spectral_decomposition_validates_the_frame(vectors, labels, message):
+    with pytest.raises(ValueError, match=message):
+        SpectralDecomposition(np.array([1.0, 2.0]), vectors, labels)
+
+
+def test_spectral_decomposition_is_read_only(rng):
+    dec = decompose(hermitian_with_spectrum(rng, [-1.0, 2.0], [2, 1]))
+    for field in (dec.vectors, dec.eigenvalues, dec.labels, dec.projectors):
+        with pytest.raises(ValueError):
+            field[0] = 0
+    assert dec.source_dim == 3
+
+
+def _slice_decomposition(a, cluster_tol=1e-8):
+    """Cluster means and projectors as decompose built them from slices of eigh's output (the reference)."""
+    h = (a + a.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    gap = cluster_tol * max(1.0, float(np.abs(w).max()))
+    starts = [0] + [i for i in range(1, w.size) if w[i] - w[i - 1] > gap] + [w.size]
+    means, out = [], []
+    for s, e in zip(starts[:-1], starts[1:]):
+        means.append(float(np.mean(w[s:e])))
+        block = v[:, s:e]
+        p = block @ block.conj().T
+        out.append((p + p.conj().T) / 2.0)
+    return np.array(means), np.stack(out)
+
+
+@seed(20260816)
+@settings(max_examples=200, deadline=None)
+@given(
+    multiplicities=st.lists(st.integers(1, 3), min_size=1, max_size=6).filter(lambda m: sum(m) <= 6),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_derived_projectors_match_the_slice_formula_bit_for_bit(multiplicities, draw):
+    # clusters of fewer than 8 eigenvalues, where np.mean also sums in ascending order
+    rng = np.random.default_rng(draw)
+    lam = spaced_values(rng, len(multiplicities), min_gap=0.1)
+    a = hermitian_with_spectrum(rng, lam, multiplicities)
+    dec = decompose(a)
+    means, projectors = _slice_decomposition(a)
+    assert len(dec) == len(multiplicities)
+    assert dec.eigenvalues.tobytes() == means.tobytes()
+    assert dec.projectors.shape == projectors.shape
+    assert dec.projectors.tobytes() == projectors.tobytes()
