@@ -13,16 +13,19 @@ over all index tuples (k1, ..., kN). Grouping the tuples by their composition
 vector (how many times each eigenvalue occurs) yields a discrete matrix
 measure whose bilateral Laplace transform is exactly L_N. Two builders are
 provided: exhaustive enumeration over the l^N tuples (the oracle), and
-evaluation of the step polynomial on a roots-of-unity torus in a's eigenbasis
-followed by one inverse FFT (build_measure_dp, the production builder).
+evaluation of the step polynomial on a roots-of-unity torus in a's eigenbasis,
+slab by slab into one grid array, followed by one in-place inverse FFT
+(build_measure_dp, the production builder). Each builder predicts its peak
+array bytes from N, l and n and refuses, before allocating, a build that
+would exceed linalg.BYTE_BUDGET.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    LATTICE_LIMIT,
     as_matrix_pair,
     batched_operator_norms,
     guarded_count,
@@ -65,26 +68,34 @@ class ApproximantConfig:
             raise ValueError("tolerances must be non-negative")
 
 
-def _composition_grid(total: int, parts: int):
-    """The grid {0..total}^(parts-1) and the compositions of total into parts on it.
-
-    Returns (idx, valid, counts): the (parts-1, points) grid in C order, which is
-    lexicographic; the mask of its points that sum to at most total; and those
-    points completed by total minus their sum. Guarded by LATTICE_LIMIT.
-    """
-    points = guarded_count("composition-grid points", total + 1, parts - 1, LATTICE_LIMIT)
-    idx = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, points)
-    sums = idx.sum(axis=0)
-    valid = sums <= total
-    counts = np.hstack([idx.T[valid], (total - sums[valid])[:, np.newaxis]])
-    return idx, valid, counts
+def _compositions_peak_bytes(total: int, parts: int) -> int:
+    """Predicted peak bytes of compositions(total, parts)."""
+    # the rows, their parent rows while the last part is split, and three index vectors
+    return 8 * math.comb(total + parts - 1, parts - 1) * (parts + 4)
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
-    """All vectors of `parts` non-negative integers summing to `total`, lexicographic."""
+    """All vectors of `parts` non-negative integers summing to `total`, lexicographic.
+
+    Built part by part: each row splits its remainder, held in the last
+    column, into every value of the next part. Refused, before allocating,
+    when the predicted peak bytes exceed linalg.BYTE_BUDGET; the message
+    names the composition grid {0..total}^(parts-1) the rows lie on.
+    """
     if parts < 1 or total < 0:
         raise ValueError("need parts >= 1 and total >= 0")
-    return _composition_grid(total, parts)[2]
+    guarded_count("composition-grid points", total + 1, parts - 1,
+                  peak_bytes=lambda _: _compositions_peak_bytes(total, parts))
+    rows = np.zeros((1, parts), dtype=np.int64)
+    rows[0, -1] = total
+    for j in range(parts - 1):
+        spread = rows[:, -1] + 1  # part j takes every value 0..remainder
+        parent = np.repeat(np.arange(len(rows)), spread)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(spread) - spread, spread)
+        rows = rows[parent]
+        rows[:, j] = value
+        rows[:, -1] -= value
+    return rows
 
 
 def composition_locations(counts: np.ndarray, eigenvalues: np.ndarray, n_steps: int) -> np.ndarray:
@@ -162,44 +173,46 @@ def _merge_starts(locs: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(np.concatenate((starts, np.array(splits, dtype=starts.dtype))))
 
 
+def _sorted_locations(counts: np.ndarray, dec: SpectralDecomposition, n_steps: int):
+    """Locations of lexicographic composition rows, stably sorted, and the sorting order.
+
+    Lexicographic rows make the stable sort (and therefore the merge)
+    identical across builders.
+    """
+    locs = composition_locations(counts, dec.eigenvalues, n_steps)
+    order = np.argsort(locs, kind="stable")
+    return locs[order], order
+
+
 def _collapse(
-    counts: np.ndarray,
+    locs: np.ndarray,
     weights: np.ndarray,
     dec: SpectralDecomposition,
     cfg: ApproximantConfig,
     source: str,
     tuple_norm_sum: float | None = None,
 ) -> DiscreteMatrixMeasure:
-    """Turn composition-keyed weights into a measure, fusing near-equal locations.
+    """Turn sorted candidate atoms into a measure, fusing near-equal locations.
 
-    counts rows must already be in lexicographic order, which makes the
-    stable location sort (and therefore the merge) identical across builders.
+    When nothing fuses, the measure keeps locs and weights themselves, uncopied.
     """
-    locs = composition_locations(counts, dec.eigenvalues, cfg.N)
-    order = np.argsort(locs, kind="stable")
-    locs = locs[order]
-    weights = weights[order]
     span = max(1.0, dec.lambda_max - dec.lambda_min)
     starts = _merge_starts(locs, cfg.merge_tol * span)
-    merged_loc = np.add.reduceat(locs, starts) / np.diff(
-        np.concatenate((starts, [locs.size]))
-    )
-    merged_w = np.add.reduceat(weights, starts, axis=0)
+    if starts.size < locs.size:
+        locs = np.add.reduceat(locs, starts) / np.diff(np.append(starts, locs.size))
+        weights = np.add.reduceat(weights, starts, axis=0)
     return DiscreteMatrixMeasure(
-        merged_loc,
-        merged_w,
-        N=int(cfg.N),
-        source=source,
-        tuple_norm_sum=tuple_norm_sum,
+        locs, weights, N=int(cfg.N), source=source, tuple_norm_sum=tuple_norm_sum
     )
 
 
 def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
     """Enumerate all l^N index tuples, multiply out, and group by composition.
 
-    The oracle builder: transparent but exponential, so refused beyond
-    linalg.ENUMERATION_LIMIT tuples; the accumulated sum of per-tuple product
-    norms is kept on the result as tuple_norm_sum.
+    The oracle builder: transparent but exponential, so refused when
+    linalg.tuple_factor_products predicts more than linalg.BYTE_BUDGET bytes;
+    the accumulated sum of per-tuple product norms is kept on the result as
+    tuple_norm_sum.
     """
     dec, step = _prepare(a, b, cfg)
     l = len(dec)
@@ -209,9 +222,23 @@ def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeas
     unique_counts, inverse = np.unique(counts, axis=0, return_inverse=True)
     grouped = np.zeros((unique_counts.shape[0],) + prods.shape[1:], dtype=np.complex128)
     np.add.at(grouped, inverse.reshape(-1), prods)
-    return _collapse(
-        unique_counts, grouped, dec, cfg, "bruteforce", tuple_norm_sum=norm_sum
-    )
+    locs, order = _sorted_locations(unique_counts, dec, cfg.N)
+    return _collapse(locs, grouped[order], dec, cfg, "bruteforce", tuple_norm_sum=norm_sum)
+
+
+_SLAB_BYTES = 1 << 18  # the torus builder works on about this many bytes of matrices at a time
+
+
+def _slab_len(n: int) -> int:
+    return max(1, _SLAB_BYTES // (16 * n * n))
+
+
+def _torus_peak_bytes(points: int, n_steps: int, l: int, n: int) -> int:
+    """Predicted peak bytes of build_measure_dp on its (n_steps+1)**(l-1)-point grid."""
+    atoms = math.comb(n_steps + l - 1, l - 1)
+    # the grid, the output, the slabs alive inside one matrix_power, and each
+    # output atom's location and grid cell
+    return 16 * n * n * (points + atoms + 4 * min(points, _slab_len(n))) + 16 * atoms
 
 
 def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
@@ -220,25 +247,40 @@ def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
     L_N(t) = P(z) for z_j = e^(t*lambda_j/N) and P(z) = (sum_j z_j E_j e^(b/N))^N,
     whose coefficient at z_1^(n_1) ... z_l^(n_l) is the weight of composition
     (n_1, ..., n_l). In a's eigenbasis V, sum_j z_j E_j = V diag(z_labels) V*;
-    with z_l = 1 (n_l is N minus the rest), one batched matrix power evaluates
-    P at the (N+1)^(l-1) points z_j = e^(-2 pi i m_j/(N+1)), m_j = 0..N, and
-    one inverse FFT over that grid gives every coefficient. The error is
-    absolute, about eps * e^||b||. Refused beyond linalg.LATTICE_LIMIT points.
+    with z_l = 1 (n_l is N minus the rest), matrix powers evaluate P at the
+    (N+1)^(l-1) points z_j = e^(-2 pi i m_j/(N+1)), m_j = 0..N, one slab of
+    points at a time, into one grid array; an in-place inverse FFT over the
+    grid gives every coefficient, and the cells of the compositions are
+    rotated back, a slab at a time, into one output array in location order.
+    Those two arrays are the only large ones. The error is absolute, about
+    eps * e^||b||. Refused, before allocating, when the predicted peak bytes
+    exceed linalg.BYTE_BUDGET.
     """
     dec, step = _prepare(a, b, cfg)
-    l = len(dec)
-    n = dec.source_dim
-    big_n = cfg.N
-    idx, valid, counts = _composition_grid(big_n, l)
-    points = idx.shape[1]
-    shape = (big_n + 1,) * (l - 1)
+    l, n, big_n = len(dec), dec.source_dim, cfg.N
+    points = guarded_count("torus grid points", big_n + 1, l - 1,
+                           peak_bytes=lambda p: _torus_peak_bytes(p, big_n, l, n))
+    slab = _slab_len(n)
     vecs = dec.vectors
-    # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
-    expo = np.vstack([idx, np.zeros((1, points), dtype=idx.dtype)])[dec.labels].T
+    strides = (big_n + 1) ** np.arange(l - 2, -1, -1)  # of the grid's axes, in C order
+    counts = compositions(big_n, l)
+    locs, order = _sorted_locations(counts, dec, big_n)
+    cells = (counts[:, :-1] @ strides)[order]  # each atom's grid cell, in location order
+    del counts, order
+    grid = np.empty((big_n + 1,) * (l - 1) + (n, n), dtype=np.complex128)
+    flat = grid.reshape(points, n, n)
+    rotated_step = vecs.conj().T @ step @ vecs
     roots = np.exp(-2j * np.pi * np.arange(big_n + 1) / (big_n + 1))
-    values = np.linalg.matrix_power(
-        roots[expo][:, :, np.newaxis] * (vecs.conj().T @ step @ vecs), big_n
-    )
-    coeffs = np.fft.ifftn(values.reshape(shape + (n, n)), axes=tuple(range(l - 1)))
-    weights = vecs @ coeffs.reshape(points, n, n)[valid] @ vecs.conj().T
-    return _collapse(counts, weights, dec, cfg, "dp")
+    for start in range(0, points, slab):
+        idx = np.arange(start, min(start + slab, points)) // strides[:, np.newaxis] % (big_n + 1)
+        # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
+        expo = np.vstack([idx, np.zeros((1, idx.shape[1]), dtype=idx.dtype)])[dec.labels].T
+        flat[start:start + slab] = np.linalg.matrix_power(
+            roots[expo][:, :, np.newaxis] * rotated_step, big_n
+        )
+    np.fft.ifftn(grid, axes=tuple(range(l - 1)), out=grid)
+    weights = np.empty((cells.size, n, n), dtype=np.complex128)
+    for start in range(0, cells.size, slab):
+        weights[start:start + slab] = vecs @ flat[cells[start:start + slab]] @ vecs.conj().T
+    del grid, flat
+    return _collapse(locs, weights, dec, cfg, "dp")

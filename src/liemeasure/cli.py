@@ -6,6 +6,7 @@ tripped, 4 verification failure.
 """
 
 import argparse
+import functools
 import io
 import math
 import re
@@ -27,6 +28,7 @@ from .experiments import (
 from .linalg import (
     LATTICE_LIMIT,
     ResourceLimitError,
+    as_matrix_pair,
     batched_operator_norms,
     canonical_json,
     guarded_count,
@@ -132,14 +134,17 @@ def cmd_transform(args) -> int:
     m = read_measure(args.measure)
     a = read_matrix(args.a) if args.a else None
     b = read_matrix(args.b) if args.b else None
+    if a is not None and b is not None:
+        a, b = as_matrix_pair(a, b)
+        if a.shape[0] != m.dim:
+            raise ValueError(f"the measure is {m.dim}x{m.dim} but a and b are {a.shape[0]}x{a.shape[0]}")
     values = laplace_transform(m, grid)
     if a is not None and b is not None and m.N is not None:
         err_ln = batched_operator_norms(values - lie_approximant(a, b, grid, m.N))
     else:
         err_ln = np.full(grid.size, math.nan)
     if a is not None and b is not None:
-        truths = np.stack([truth_exponential(a, b, t) for t in grid])
-        err_truth = batched_operator_norms(values - truths)
+        err_truth = batched_operator_norms(values - truth_exponential(a, b, grid))
     else:
         err_truth = np.full(grid.size, math.nan)
     buf = io.StringIO()
@@ -241,6 +246,9 @@ def cmd_plot(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+# built once: a parser is a web of reference cycles, which only the garbage
+# collector's full passes free, and those run rarely while a JSON read pauses it
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="liemeasure", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,6 +5,7 @@ Everything here validates its input, so the higher layers can assume square,
 finite matrices throughout.
 """
 
+import gc
 import json
 import math
 
@@ -13,7 +14,7 @@ import scipy.linalg
 
 __all__ = [
     "ResourceLimitError",
-    "ENUMERATION_LIMIT",
+    "BYTE_BUDGET",
     "LATTICE_LIMIT",
     "guarded_count",
     "as_matrix",
@@ -35,21 +36,36 @@ __all__ = [
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration, composition-grid or t-grid budget would be exceeded."""
+    """A build would exceed the byte budget, or a t-grid its point or coefficient cap."""
 
 
-ENUMERATION_LIMIT = 10**6  # index tuples that tuple_factor_products may multiply out
-# composition-grid points (N+1)**(l-1); also t-grid points and T*K transform coefficients
+# peak array bytes a build may predict for itself: index tuples, compositions, the torus
+BYTE_BUDGET = 2 * 1024**3
+# t-grid points, and T*K transform coefficients: each point costs an e^(tA+B) or a
+# transform evaluation, so this cap bounds work as well as bytes
 LATTICE_LIMIT = 5_000_000
 
 
-def guarded_count(what: str, base: int, exponent: int, limit: int) -> int:
-    """base**exponent; ResourceLimitError, naming it as base**exponent, when over limit."""
+def guarded_count(what: str, base: int, exponent: int, limit: int | None = None, *, peak_bytes=None) -> int:
+    """base**exponent, or ResourceLimitError naming it as base**exponent, before any allocation.
+
+    With limit, the count itself may not exceed limit. With peak_bytes, a function
+    of the count that predicts the caller's peak array bytes, that prediction may
+    not exceed BYTE_BUDGET, and a refusal names the prediction and the budget.
+    """
+    count = base if exponent == 1 else f"{base}**{exponent}"
     # log space first: a refused count may be too large to form, let alone format
-    too_big = base > 1 and exponent * math.log(base) > math.log(limit) + 1e-9
-    if too_big or base**exponent > limit:
-        count = base if exponent == 1 else f"{base}**{exponent}"
-        raise ResourceLimitError(f"{what}: {count} exceeds the limit of {limit}")
+    log_count = exponent * math.log(base) if base > 1 else 0.0
+    if peak_bytes is None:
+        if log_count > math.log(limit) + 1e-9 or base**exponent > limit:
+            raise ResourceLimitError(f"{what}: {count} exceeds the limit of {limit}")
+        return base**exponent
+    # no array can hold more than 2**63 items; below that, form the count and predict
+    if log_count > 63 * math.log(2):
+        raise ResourceLimitError(f"{what}: {count} would need more than the budget of {BYTE_BUDGET} bytes")
+    need = peak_bytes(base**exponent)
+    if need > BYTE_BUDGET:
+        raise ResourceLimitError(f"{what}: {count} would need {need} bytes, over the budget of {BYTE_BUDGET} bytes")
     return base**exponent
 
 
@@ -125,24 +141,34 @@ def batched_operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w, compute_uv=False)[:, 0]
 
 
+def _tuple_peak_bytes(total: int, count: int, n: int) -> int:
+    """Predicted peak bytes of tuple_factor_products: total tuples of count (n, n) factors."""
+    # the int32 index table, three (total, n, n) stacks (the running product, the
+    # gathered next factor and their product) and the int64 tuple numbers, plus 8 spare
+    return total * (4 * count + 48 * n * n + 16)
+
+
 def tuple_factor_products(factors, count: int):
     """All products factors[k1] @ ... @ factors[k_count] over index tuples.
 
     Tuples (k1, ..., k_count) run over {0..l-1}^count in lexicographic order.
     Returns (idx, prods) where idx is (K, count) int32 and prods is (K, n, n),
-    K = l**count. Raises ResourceLimitError, before allocating, when K exceeds
-    ENUMERATION_LIMIT.
+    K = l**count. Raises ResourceLimitError, before allocating, when the
+    predicted peak bytes exceed BYTE_BUDGET.
     """
     f = np.asarray(factors, dtype=np.complex128)
     if f.ndim != 3 or f.shape[1] != f.shape[2] or f.shape[0] < 1:
         raise ValueError(f"factors: expected a (l, n, n) stack, got shape {f.shape}")
     if count < 1:
         raise ValueError("count must be a positive integer")
-    l = f.shape[0]
-    total = guarded_count("index tuples", l, count, ENUMERATION_LIMIT)
-    idx = np.stack(
-        np.unravel_index(np.arange(total), (l,) * count), axis=1
-    ).astype(np.int32)
+    l, n = f.shape[0], f.shape[1]
+    total = guarded_count("index tuples", l, count,
+                          peak_bytes=lambda k: _tuple_peak_bytes(k, count, n))
+    # column p is digit p, most significant first, of the tuple's number in base l
+    numbers = np.arange(total)
+    idx = np.empty((total, count), dtype=np.int32)
+    for p in range(count):
+        idx[:, p] = numbers // l ** (count - 1 - p) % l
     prods = f[idx[:, 0]]
     for p in range(1, count):
         prods = np.matmul(prods, f[idx[:, p]])
@@ -235,9 +261,19 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def _load_json(path):
-    """json.load, but the "-0" that canonical_json writes for -0.0 reads as -0.0, not int 0."""
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    """json.load, but the "-0" that canonical_json writes for -0.0 reads as -0.0, not int 0.
+
+    The parsed tree holds no reference cycles, so the garbage collector is paused
+    while it is built: its passes would scan every new list and free nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def read_matrix(path) -> np.ndarray:

@@ -146,8 +146,8 @@ def partition_product_bound(projectors, r, count: int):
     The F_j must be entrywise non-negative with sum_j F_j = I (within 1e-10)
     and r entrywise non-negative. Returns (sum_of_norms, n*||e^r||); the first
     never exceeds the second. The unnormed products themselves sum to e^r
-    exactly, which is how the bound telescopes. More than
-    linalg.ENUMERATION_LIMIT products raise ResourceLimitError.
+    exactly, which is how the bound telescopes. Products whose predicted peak
+    bytes exceed linalg.BYTE_BUDGET raise ResourceLimitError.
     """
     mats = _nonneg_stack(projectors, "projectors")
     n = mats.shape[1]

@@ -285,7 +285,7 @@ def test_builders_reject_non_hermitian_a(rng):
 
 
 def test_enumeration_guard_trips(rng):
-    # 3 distinct eigenvalues: 3**40 index tuples, over the 10**6 limit
+    # 3 distinct eigenvalues: 3**40 index tuples, far over the byte budget
     a = hermitian_with_spectrum(rng, spaced_values(rng, 3, min_gap=0.3))
     b = random_matrix(rng, 3)
     with pytest.raises(ResourceLimitError, match=r"3\*\*40 "):
@@ -293,7 +293,7 @@ def test_enumeration_guard_trips(rng):
 
 
 def test_state_guard_trips(rng):
-    # 3 distinct eigenvalues: 5001**2 lattice cells, over the 5,000,000 limit
+    # 3 distinct eigenvalues: 5001**2 grid points of 144 bytes, over the 2 GiB budget
     a = hermitian_with_spectrum(rng, spaced_values(rng, 3, min_gap=0.3))
     b = random_matrix(rng, 3)
     with pytest.raises(ResourceLimitError, match=r"5001\*\*2 "):

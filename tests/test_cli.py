@@ -3,6 +3,7 @@
 All invocations run in-process through cli.main to keep the suite fast.
 """
 
+import gc
 import json
 import time
 
@@ -11,7 +12,8 @@ import pytest
 
 import liemeasure.cli as cli
 from liemeasure.cli import main, parse_schedule, parse_t_grid
-from liemeasure.linalg import write_matrix
+from liemeasure.approximant import _torus_peak_bytes
+from liemeasure.linalg import BYTE_BUDGET, write_matrix
 from liemeasure.measure import read_measure
 from liemeasure.verify import LemmaResult
 
@@ -128,6 +130,44 @@ def test_dp_lattice_guard_exits_3_naming_the_count(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ")
     assert "100000001**2" in err
+
+
+def test_dp_byte_budget_exits_3_naming_the_count_and_the_bytes(tmp_path, capsys):
+    # 8x8 with three clusters at N=2000: 2001**2 grid points were under the old
+    # 5,000,000-point limit, but each holds an 8x8 complex matrix (about 4.1 GB)
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a_path, np.diag([0.0] * 3 + [1.0] * 3 + [2.5] * 2))
+    write_matrix(b_path, np.full((8, 8), 0.1))
+    start = time.perf_counter()
+    code = main([
+        "measure", "--a", str(a_path), "--b", str(b_path), "--steps", "2000",
+        "--out", str(tmp_path / "m.json"),
+    ])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 0.5
+    assert "Traceback" not in err
+    need = _torus_peak_bytes(2001**2, 2000, 3, 8)
+    assert err == (
+        f"resource limit: torus grid points: 2001**2 would need {need} bytes,"
+        f" over the budget of {BYTE_BUDGET} bytes\n"
+    )
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_a_command_leaves_no_cyclic_garbage(tmp_path, pair_files, capsys):
+    # JSON reads pause the collector, so cycles left by each call would pile up
+    # between its rare full passes and raise the peak memory of a long session
+    a_path, b_path = pair_files
+    out = str(tmp_path / "m.json")
+    argv = ["measure", "--a", a_path, "--b", b_path, "--steps", "8", "--out", out]
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    assert main(["transform", "--measure", out, "--a", a_path, "--b", b_path]) == 0
+    assert gc.collect() == 0
+    capsys.readouterr()
 
 
 def test_transform_command_error_columns(tmp_path, pair_files, capsys):
@@ -263,6 +303,12 @@ def test_mismatched_a_and_b_give_one_message(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "invalid input: a and b must have the same dimension\n", argv[0]
         assert captured.out == ""
+    # a consistent 2x2 pair against the 3x3 measure: named before any evaluation
+    write_matrix(tmp_path / "a2.json", np.diag([-1.0, 2.0]))
+    assert main(["transform", "--measure", out, "--a", str(tmp_path / "a2.json"), "--b", str(b_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "invalid input: the measure is 3x3 but a and b are 2x2\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("tgrid", ["0:1:1e-6", "0:1:1e-12"])
@@ -282,6 +328,19 @@ def test_transform_grid_guard_exits_3_before_allocating(tmp_path, pair_files, ca
     assert err.startswith("resource limit: ") and "Traceback" not in err
     want = "9000009" if tgrid == "0:1:1e-6" else "t-grid points: 1000000000001 "
     assert want in err
+
+
+def test_converge_on_a_long_t_grid_evaluates_the_truth_once(tmp_path, pair_files, capsys):
+    # 10,001 t-points: one stacked expm, not one call per point
+    a_path, b_path = pair_files
+    start = time.perf_counter()
+    code = main([
+        "converge", "--a", a_path, "--b", b_path, "--schedule", "4",
+        "--tgrid", "0:1:1e-4", "--out", str(tmp_path / "c.csv"),
+    ])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and capsys.readouterr().err == ""
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize(

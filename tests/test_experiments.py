@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liemeasure.approximant import ApproximantConfig, build_measure_dp
 from liemeasure.experiments import (
@@ -46,6 +47,32 @@ def test_truth_exponential_matches_expm(rng):
     for t in (0.0, 1.0, -0.5, 0.3 + 0.2j):
         want = matrix_exp(t * a + b)
         assert operator_norm(truth_exponential(a, b, t) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3), (0,)])
+def test_truth_exponential_on_a_grid_matches_per_point_expm(rng, shape):
+    a = random_hermitian(rng, 3, scale=1.5)
+    b = random_matrix(rng, 3)
+    t = (rng.uniform(-1, 1, shape) + 1j * rng.choice([0.0, 0.5], shape)).astype(complex)
+    got = truth_exponential(a, b, t)
+    assert got.shape == shape + (3, 3)
+    for idx in np.ndindex(shape):
+        assert got[idx].tobytes() == scipy.linalg.expm(t[idx] * a + b).tobytes()
+
+
+def test_truth_exponential_cross_checks_only_real_hermitian_points(rng):
+    a = random_hermitian(rng, 3)
+    h = random_hermitian(rng, 3)
+    grid = np.array([0.5, -1.0, 1j])
+    # a negative tolerance fails every point the cross-check visits
+    with pytest.raises(RuntimeError, match=r"^exponential cross-check failed: spectral vs series gap "):
+        truth_exponential(a, h, grid, cross_tol=-1.0)
+    truth_exponential(a, h, np.array([1j, -2j]), cross_tol=-1.0)  # no real point
+    # with a = 0, t*a+b is Hermitian at every t, but only real t are cross-checked
+    truth_exponential(np.zeros((3, 3)), h, np.array([1j, -2j]), cross_tol=-1.0)
+    truth_exponential(a, random_matrix(rng, 3), grid, cross_tol=-1.0)  # t*a+b not Hermitian
+    with pytest.raises(ValueError, match="finite"):
+        truth_exponential(a, h, np.array([0.0, np.nan]))
 
 
 def test_exp_curve_derivative_order_zero_is_exp_b(rng):

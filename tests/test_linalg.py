@@ -1,6 +1,7 @@
 """Core matrix helpers, checked against oracles that avoid numpy's own
 eigenvalue machinery where the function under test relies on it."""
 
+import gc
 import json
 import math
 
@@ -187,7 +188,12 @@ def test_tuple_factor_products_enumeration_order():
 
 def test_tuple_factor_products_guard():
     f = np.stack([np.eye(2, dtype=complex)] * 3)
-    with pytest.raises(ResourceLimitError, match=r"^index tuples: 3\*\*20 exceeds the limit of 1000000$"):
+    # 3**20 tuples of 2x2 products: 4*20 index bytes and three 64-byte matrices, plus 16
+    need = 3**20 * (4 * 20 + 3 * 64 + 16)
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"^index tuples: 3\*\*20 would need {need} bytes, over the budget of 2147483648 bytes$",
+    ):
         tuple_factor_products(f, 20)
     # guard compares in log space, so absurd exponents must not overflow
     with pytest.raises(ResourceLimitError):
@@ -252,3 +258,20 @@ def test_read_write_matrix_round_trip(tmp_path, rng):
     path2 = tmp_path / "m2.json"
     write_matrix(path2, m)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_json_read_pauses_the_collector_and_restores_it(tmp_path, caller_enabled):
+    good, bad = tmp_path / "m.json", tmp_path / "bad.json"
+    write_matrix(good, np.eye(2))
+    bad.write_text('{"n": 2, "re": [[1.0, 0.0], [0.0')
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        assert np.array_equal(read_matrix(good), np.eye(2))
+        assert gc.isenabled() is caller_enabled
+        with pytest.raises(ValueError):
+            read_matrix(bad)
+        assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()

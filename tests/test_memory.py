@@ -1,0 +1,158 @@
+"""The torus builder's slabs, and the byte budget's peak-bytes predictions."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import liemeasure.approximant as approximant
+from liemeasure.approximant import (
+    ApproximantConfig,
+    build_measure_bruteforce,
+    build_measure_dp,
+    composition_locations,
+    compositions,
+)
+from liemeasure.linalg import BYTE_BUDGET, ResourceLimitError, _tuple_peak_bytes, guarded_count
+from liemeasure.sampling import hermitian_with_spectrum, random_matrix, spaced_values
+
+# a grid size per cluster count, kept small: (N+1)**(l-1) points
+STEPS = {1: 9, 2: 12, 3: 6, 4: 4}
+
+
+def _pair(rng, n, l):
+    mult = np.ones(l, dtype=int)
+    mult[-1] += n - l
+    a = hermitian_with_spectrum(rng, spaced_values(rng, l, min_gap=0.2), mult)
+    return a, random_matrix(rng, n)
+
+
+def _one_shot(a, b, n_steps):
+    """Locations and weights by the whole-grid formula: one matrix power, one ifftn."""
+    dec, step = approximant._prepare(a, b, ApproximantConfig(N=n_steps))
+    l, n = len(dec), dec.source_dim
+    shape = (n_steps + 1,) * (l - 1)
+    points = (n_steps + 1) ** (l - 1)
+    idx = np.indices(shape).reshape(l - 1, points)
+    sums = idx.sum(axis=0)
+    valid = sums <= n_steps
+    counts = np.hstack([idx.T[valid], (n_steps - sums[valid])[:, np.newaxis]])
+    vecs = dec.vectors
+    expo = np.vstack([idx, np.zeros((1, points), dtype=idx.dtype)])[dec.labels].T
+    roots = np.exp(-2j * np.pi * np.arange(n_steps + 1) / (n_steps + 1))
+    values = np.linalg.matrix_power(
+        roots[expo][:, :, np.newaxis] * (vecs.conj().T @ step @ vecs), n_steps
+    )
+    coeffs = np.fft.ifftn(values.reshape(shape + (n, n)), axes=tuple(range(l - 1)))
+    weights = vecs @ coeffs.reshape(points, n, n)[valid] @ vecs.conj().T
+    locs = composition_locations(counts, dec.eigenvalues, n_steps)
+    order = np.argsort(locs, kind="stable")
+    return locs[order], weights[order]
+
+
+# the grid ends below a slab boundary, exactly at one, or one point past one;
+# a one-point grid (l = 1) cannot pass a boundary
+SLAB_CASES = [
+    (n, l, offset)
+    for l in range(1, 5)
+    for n in range(l, 6)
+    for offset in ((1, 0, -1) if l > 1 else (1, 0))
+]
+
+
+@pytest.mark.parametrize("n, l, slab_offset", SLAB_CASES)
+def test_slab_builder_matches_the_one_shot_formula_byte_for_byte(rng, monkeypatch, n, l, slab_offset):
+    n_steps = STEPS[l]
+    slab = (n_steps + 1) ** (l - 1) + slab_offset
+    monkeypatch.setattr(approximant, "_SLAB_BYTES", 16 * n * n * slab)
+    assert approximant._slab_len(n) == slab
+    a, b = _pair(rng, n, l)
+    locs, weights = _one_shot(a, b, n_steps)
+    m = build_measure_dp(a, b, ApproximantConfig(N=n_steps, merge_tol=0.0))
+    assert len(m) == len(locs)
+    assert m.locations.tobytes() == locs.tobytes()
+    assert m.weights.tobytes() == weights.tobytes()
+
+
+def test_compositions_match_the_grid_formula():
+    for total in range(0, 9):
+        for parts in range(1, 6):
+            idx = np.indices((total + 1,) * (parts - 1)).reshape(parts - 1, (total + 1) ** (parts - 1))
+            sums = idx.sum(axis=0)
+            want = np.hstack([idx.T[sums <= total], (total - sums[sums <= total])[:, np.newaxis]])
+            got = compositions(total, parts)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (total, parts)
+
+
+def test_measure_keeps_the_builders_array_read_only(rng):
+    # generic spectrum: nothing fuses, so the weights are the builder's own output array
+    a, b = _pair(rng, 3, 3)
+    m = build_measure_dp(a, b, ApproximantConfig(N=8))
+    assert len(m) == 45 and m.weights.base is not None
+    assert not m.weights.flags.writeable and not m.locations.flags.writeable
+    with pytest.raises(ValueError):
+        m.weights[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.locations[0] = 0.0
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, l, n_steps", [(8, 2, 1024), (3, 3, 128), (4, 4, 24), (2, 2, 20000), (5, 3, 60)])
+def test_torus_peak_bytes_prediction(rng, n, l, n_steps):
+    a, b = _pair(rng, n, l)
+    peak = _traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=n_steps)))
+    predicted = approximant._torus_peak_bytes((n_steps + 1) ** (l - 1), n_steps, l, n)
+    assert peak <= predicted <= 2 * peak
+
+
+@pytest.mark.parametrize("n, l, n_steps", [(2, 2, 14), (3, 3, 9), (4, 2, 12), (3, 2, 13)])
+def test_bruteforce_peak_bytes_prediction(rng, n, l, n_steps):
+    a, b = _pair(rng, n, l)
+    peak = _traced_peak(lambda: build_measure_bruteforce(a, b, ApproximantConfig(N=n_steps)))
+    predicted = _tuple_peak_bytes(l**n_steps, n_steps, n)
+    assert peak <= predicted <= 2 * peak
+
+
+@pytest.mark.parametrize("total, parts", [(2000, 3), (100, 4), (40, 5), (10**5, 2)])
+def test_compositions_peak_bytes_prediction(total, parts):
+    peak = _traced_peak(lambda: compositions(total, parts))
+    predicted = approximant._compositions_peak_bytes(total, parts)
+    assert peak <= predicted <= 2 * peak
+
+
+def test_byte_guard_names_the_count_the_prediction_and_the_budget():
+    assert guarded_count("cells", 10, 3, peak_bytes=lambda k: 8 * k) == 1000
+    assert guarded_count("cells", 1, 5, peak_bytes=lambda k: BYTE_BUDGET) == 1
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"^cells: 10\*\*3 would need {BYTE_BUDGET + 1} bytes, over the budget of {BYTE_BUDGET} bytes$",
+    ):
+        guarded_count("cells", 10, 3, peak_bytes=lambda k: BYTE_BUDGET + 1)
+
+    # past 2**63 the count is never formed and the prediction never asked for
+    def never(_):
+        raise AssertionError("predicted a count that no array can hold")
+
+    with pytest.raises(
+        ResourceLimitError, match=rf"^cells: 2\*\*64 would need more than the budget of {BYTE_BUDGET} bytes$"
+    ):
+        guarded_count("cells", 2, 64, peak_bytes=never)
+    assert guarded_count("cells", 2, 63, peak_bytes=lambda k: 0) == 2**63
+
+
+def test_bruteforce_single_cluster_beyond_64_steps():
+    # one cluster: a single index tuple, however long
+    a = 0.5 * np.eye(2, dtype=complex)
+    b = np.array([[0.0, 0.3], [0.3, 0.1]], dtype=complex)
+    m = build_measure_bruteforce(a, b, ApproximantConfig(N=100))
+    dp = build_measure_dp(a, b, ApproximantConfig(N=100))
+    assert len(m) == len(dp) == 1
+    assert np.abs(m.weights - dp.weights).max() <= 1e-12
