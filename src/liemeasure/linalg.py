@@ -260,9 +260,11 @@ def matrix_from_json(obj) -> np.ndarray:
     return as_matrix(m, "matrix JSON")
 
 
-def _load_json(path):
+def _load_json(path, object_hook=None):
     """json.load, but the "-0" that canonical_json writes for -0.0 reads as -0.0, not int 0.
 
+    object_hook, if given, is json's: it gets each object as the parser closes it.
+    Nesting too deep for the parser raises ValueError naming the file.
     The parsed tree holds no reference cycles, so the garbage collector is paused
     while it is built: its passes would scan every new list and free nothing.
     """
@@ -270,7 +272,9 @@ def _load_json(path):
     gc.disable()
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+            return json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s), object_hook=object_hook)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     finally:
         if was_enabled:
             gc.enable()

@@ -274,41 +274,82 @@ def _atom_arrays_one_by_one(raw: list, n: int):
     return locs, weights
 
 
-def read_measure(path) -> DiscreteMatrixMeasure:
-    return measure_from_json(_load_json(path))
+def _weight_arrays(obj: dict) -> dict:
+    """json object_hook: the "re"/"im" lists of an object as float arrays, as the parser closes it.
 
-
-def _fill_rows(row: str, data: np.ndarray, sep: str = "") -> str:
-    """`row` (one %.17g per column of data) filled for every row of data in one % operation.
-
-    '%.17g' % x and format(x, '.17g') are the same conversion, so the text
-    matches canonical_json's number for number.
+    Then the parsed tree holds two small arrays per weight, not one Python float
+    per entry. A part that does not convert stays exactly as parsed, so the
+    atom readers still name the first bad atom with their own messages.
     """
-    return sep.join([row] * len(data)) % tuple(data.ravel().tolist())
+    for key in ("re", "im"):
+        if isinstance(obj.get(key), list):
+            try:
+                obj[key] = np.array(obj[key], dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
+
+
+def read_measure(path) -> DiscreteMatrixMeasure:
+    """Read a measure file; each weight becomes arrays as soon as it is parsed.
+
+    The text is parsed once, by the stdlib json parser, so the rules and
+    messages are those of measure_from_json; a "-0" entry reads as -0.0.
+    """
+    return measure_from_json(_load_json(path, object_hook=_weight_arrays))
+
+
+# numbers formatted per chunk of rows: bounds the text and the Python floats
+# alive at once, whatever the atom count and the matrix size
+_CHUNK_NUMBERS = 1 << 16
+
+
+def _write_rows(fh, row: str, columns, sep: str = "") -> None:
+    """Write `row` (one %.17g per column) filled for every row of the columns, rows joined by sep.
+
+    columns are (K, w) blocks that sit side by side. Each chunk of at most
+    _CHUNK_NUMBERS numbers is copied into one small array and formatted in one
+    % operation. '%.17g' % x and format(x, '.17g') are the same conversion, so
+    the text matches canonical_json's number for number.
+    """
+    count = len(columns[0])
+    step = max(1, _CHUNK_NUMBERS // sum(c.shape[1] for c in columns))
+    for start in range(0, count, step):
+        data = np.hstack([c[start:start + step] for c in columns])
+        if start:
+            fh.write(sep)
+        fh.write(sep.join([row] * len(data)) % tuple(data.ravel().tolist()))
 
 
 def write_measure(path, m: DiscreteMatrixMeasure) -> None:
-    """Write canonical_json(measure_to_json(m)) + "\n", formatted a whole array at a time."""
+    """Write canonical_json(measure_to_json(m)) + "\n", a bounded chunk of atoms at a time.
+
+    A non-finite number is refused before the file is opened.
+    """
     n, count = m.dim, len(m)
-    data = np.empty((count, 1 + 2 * n * n))
-    data[:, 0] = m.locations
-    data[:, 1:1 + n * n] = m.weights.real.reshape(count, n * n)
-    data[:, 1 + n * n:] = m.weights.imag.reshape(count, n * n)
-    if not np.isfinite(data).all():
+    if not (np.isfinite(m.locations).all() and np.isfinite(m.weights).all()):
         raise ValueError("non-finite number in JSON payload")
     matrix = "[" + ",".join(["[" + ",".join(["%.17g"] * n) + "]"] * n) + "]"
     atom = '{"lambda":%.17g,"weight":{"re":' + matrix + ',"im":' + matrix + "}}"
     nsteps = "null" if m.N is None else str(int(m.N))
+    columns = (
+        m.locations.reshape(count, 1),
+        m.weights.real.reshape(count, n * n),
+        m.weights.imag.reshape(count, n * n),
+    )
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f'{{"n":{n},"N":{nsteps},"atoms":[{_fill_rows(atom, data, ",")}]}}\n')
+        fh.write(f'{{"n":{n},"N":{nsteps},"atoms":[')
+        _write_rows(fh, atom, columns, ",")
+        fh.write("]}\n")
 
 
 def write_trace_csv(path, m: DiscreteMatrixMeasure) -> None:
     """Write trace_measure(m) as CSV: lambda, weight_re, weight_im (17 significant digits).
 
-    Tracing an n=1 measure, such as one trace_measure returned, keeps its weights.
+    Rows are formatted a bounded chunk at a time. Tracing an n=1 measure, such
+    as one trace_measure returned, keeps its weights.
     """
-    traces = trace_measure(m).weights[:, 0, 0]
-    data = np.column_stack([m.locations, traces.real, traces.imag])
+    traces = trace_measure(m).weights.reshape(len(m), 1)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("lambda,weight_re,weight_im\n" + _fill_rows("%.17g,%.17g,%.17g\n", data))
+        fh.write("lambda,weight_re,weight_im\n")
+        _write_rows(fh, "%.17g,%.17g,%.17g\n", (m.locations.reshape(len(m), 1), traces.real, traces.imag))

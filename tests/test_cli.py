@@ -109,6 +109,24 @@ def test_invalid_input_exits_2(tmp_path, pair_files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["transform", "plot", "measure"])
+def test_deeply_nested_json_exits_2(tmp_path, pair_files, capsys, command):
+    # deeper than the json parser can recurse: a measure file, or a matrix file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="ascii")
+    b_path = pair_files[1]
+    argv = {
+        "transform": ["transform", "--measure", str(deep)],
+        "plot": ["plot", "--measure", str(deep), "--out", str(tmp_path / "fig")],
+        "measure": ["measure", "--a", str(deep), "--b", b_path, "--steps", "4",
+                    "--out", str(tmp_path / "m.json")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: {deep}: JSON nested too deeply to parse\n"
+    assert "Traceback" not in err
+
+
 def test_resource_guard_exits_3(tmp_path, pair_files, capsys):
     a_path, b_path = pair_files
     assert main([

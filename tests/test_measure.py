@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import liemeasure.measure as measure_module
 from liemeasure.linalg import canonical_json, matrix_exp, operator_norm
 from liemeasure.measure import (
     DiscreteMatrixMeasure,
@@ -215,6 +216,7 @@ def test_write_measure_refuses_non_finite(tmp_path):
     object.__setattr__(m, "weights", weights)  # past the constructor's checks
     with pytest.raises(ValueError, match="^non-finite number in JSON payload$"):
         write_measure(tmp_path / "m.json", m)
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_measure_arrays_are_read_only_views():
@@ -268,26 +270,42 @@ def _identity_atom(lam=0.0):
         ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0, 0.0]] * 3}}, "atom 1 weight must be 2x2"),
     ],
 )
-def test_measure_from_json_malformed_atom(bad_atom, message):
+def test_measure_from_json_malformed_atom(tmp_path, bad_atom, message):
     obj = {"n": 2, "N": 1, "atoms": [_identity_atom(0.0), bad_atom, _identity_atom(2.0)]}
     with pytest.raises(ValueError, match=f"^measure JSON: {re.escape(message)}$"):
         measure_from_json(obj)
+    # through a file, weights become arrays while the parser runs: same message
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj), encoding="ascii")
+    with pytest.raises(ValueError, match=f"^measure JSON: {re.escape(message)}$"):
+        read_measure(path)
 
 
-def test_measure_from_json_reports_first_bad_atom():
+def test_measure_from_json_reports_first_bad_atom(tmp_path):
     # atom 1 fails on its entries, atom 2 on its structure: the earlier atom is named
     entries = {"lambda": 1.0, "weight": {"re": [[1.0, "x"], [0.0, 1.0]]}}
     obj = {"n": 2, "N": 1, "atoms": [_identity_atom(0.0), entries, {"lambda": 2.0}]}
     with pytest.raises(ValueError, match="^measure JSON: atom 1 weight entries must be numbers$"):
         measure_from_json(obj)
+    # read from a file, atom 0's weight reaches the reader as arrays and atom 1's as parsed
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj), encoding="ascii")
+    with pytest.raises(ValueError, match="^measure JSON: atom 1 weight entries must be numbers$"):
+        read_measure(path)
 
 
-def test_measure_from_json_optional_imaginary_part_and_empty_atoms():
+def test_measure_from_json_optional_imaginary_part_and_empty_atoms(tmp_path):
     atom = {"lambda": 0.5, "weight": {"re": [[1.0, 2.0], [3.0, 4.0]]}}
     m = measure_from_json({"n": 2, "N": 3, "atoms": [atom, _identity_atom(1.0)]})
     assert np.array_equal(m.locations, [0.5, 1.0])
     assert np.array_equal(m.weights[0], [[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(m.weights.imag, np.zeros((2, 2, 2)))
+    # an "im" of null reads as zero too, also from a file
+    path = tmp_path / "m.json"
+    null_im = {"lambda": 0.5, "weight": {"re": [[1.0, 2.0], [3.0, 4.0]], "im": None}}
+    path.write_text(json.dumps({"n": 2, "N": 3, "atoms": [null_im, _identity_atom(1.0)]}), encoding="ascii")
+    back = read_measure(path)
+    assert np.array_equal(back.weights, m.weights) and back.weights.dtype == np.complex128
     empty = measure_from_json({"n": 3, "N": None, "atoms": []})
     assert len(empty) == 0 and empty.dim == 3 and empty.N is None
     assert empty.weights.shape == (0, 3, 3)
@@ -341,3 +359,55 @@ def test_measure_io_is_byte_identical_to_canonical_json(tmp_path_factory, data):
             continue
         write_trace_csv(csv_path, traced)
         assert csv_path.read_text(encoding="ascii") == want
+
+
+def _measure_with_negative_zeros(rng, count, n):
+    locs = np.sort(rng.uniform(-2.0, 2.0, count))
+    parts = rng.standard_normal((2, count, n, n))
+    parts[parts < -0.8] = -0.0
+    weights = np.empty((count, n, n), dtype=np.complex128)
+    weights.real, weights.imag = parts
+    return DiscreteMatrixMeasure(locs, weights, N=7)
+
+
+def _rows_per_chunk(monkeypatch, width, numbers):
+    """Set the writers' chunk to `numbers` numbers; return its rows of `width` numbers, C."""
+    monkeypatch.setattr(measure_module, "_CHUNK_NUMBERS", numbers)
+    return max(1, numbers // width)
+
+
+def _boundary_counts(c):
+    return sorted({0, 1, c - 1, c, c + 1, 2 * c + 1})
+
+
+# numbers per chunk = rows * width + slack: C = 1 (a row wider than the chunk), 3 and 4
+CHUNKS = [(1, -1), (4, -1), (4, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("rows, slack", CHUNKS)
+def test_write_measure_across_chunk_boundaries(tmp_path, monkeypatch, n, rows, slack):
+    width = 1 + 2 * n * n
+    c = _rows_per_chunk(monkeypatch, width, rows * width + slack)
+    rng = np.random.default_rng(10 * n + rows)
+    for count in _boundary_counts(c):
+        m = _measure_with_negative_zeros(rng, count, n)
+        path = tmp_path / f"m{count}.json"
+        write_measure(path, m)
+        assert path.read_text(encoding="ascii") == canonical_json(measure_to_json(m)) + "\n", count
+        # array_equal cannot tell -0.0 from 0.0; the bytes of a second write can
+        again = tmp_path / f"again{count}.json"
+        write_measure(again, read_measure(path))
+        assert again.read_bytes() == path.read_bytes(), count
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("rows, slack", CHUNKS)
+def test_write_trace_csv_across_chunk_boundaries(tmp_path, monkeypatch, n, rows, slack):
+    c = _rows_per_chunk(monkeypatch, 3, rows * 3 + slack)
+    rng = np.random.default_rng(10 * n + rows)
+    for count in _boundary_counts(c):
+        m = _measure_with_negative_zeros(rng, count, n)
+        path = tmp_path / f"t{count}.csv"
+        write_trace_csv(path, m)
+        assert path.read_text(encoding="ascii") == _trace_csv_one_row_at_a_time(m), count

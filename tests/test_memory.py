@@ -1,4 +1,4 @@
-"""The torus builder's slabs, and the byte budget's peak-bytes predictions."""
+"""The torus builder's slabs, the byte budget's peak-bytes predictions, and bounded measure I/O."""
 
 import tracemalloc
 
@@ -14,6 +14,7 @@ from liemeasure.approximant import (
     compositions,
 )
 from liemeasure.linalg import BYTE_BUDGET, ResourceLimitError, _tuple_peak_bytes, guarded_count
+from liemeasure.measure import DiscreteMatrixMeasure, read_measure, write_measure
 from liemeasure.sampling import hermitian_with_spectrum, random_matrix, spaced_values
 
 # a grid size per cluster count, kept small: (N+1)**(l-1) points
@@ -156,3 +157,18 @@ def test_bruteforce_single_cluster_beyond_64_steps():
     dp = build_measure_dp(a, b, ApproximantConfig(N=100))
     assert len(m) == len(dp) == 1
     assert np.abs(m.weights - dp.weights).max() <= 1e-12
+
+
+# (atoms, n, write bound, read bound) in MB; 33,153 atoms is measure-generic's 3x3
+# measure at N=256. Whole-file I/O peaked at 45 MB (write) and 62 MB (read) on
+# these inputs, and at 35 MB (write) in the 8x8 case, whose rows of 129 numbers
+# catch a chunk sized by atoms rather than by numbers.
+@pytest.mark.parametrize("count, n, write_mb, read_mb", [(33_153, 3, 8, 48), (4_000, 8, 8, None)])
+def test_measure_io_peak_is_bounded(tmp_path, count, n, write_mb, read_mb):
+    rng = np.random.default_rng(count)
+    weights = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    m = DiscreteMatrixMeasure(np.sort(rng.uniform(-1.0, 1.0, count)), weights, N=256)
+    path = tmp_path / "m.json"
+    assert _traced_peak(lambda: write_measure(path, m)) < write_mb * 2**20
+    if read_mb is not None:
+        assert _traced_peak(lambda: read_measure(path)) < read_mb * 2**20
