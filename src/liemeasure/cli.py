@@ -35,6 +35,7 @@ from .linalg import (
     read_matrix,
 )
 from .measure import (
+    _write_rows,
     laplace_transform,
     read_measure,
     support_interval,
@@ -222,10 +223,10 @@ def cmd_plot(args) -> int:
     traces = trace_measure(m).weights[:, 0, 0]
     dat_path = args.out + ".dat"
     gp_path = args.out + ".gp"
-    rows = ["# lambda\topnorm\ttrace_re\ttrace_im"]
-    for lam, nrm, tr in zip(m.locations, norms, traces):
-        rows.append(f"{_fmt(lam)}\t{_fmt(nrm)}\t{_fmt(tr.real)}\t{_fmt(tr.imag)}")
-    _write_text(dat_path, "\n".join(rows) + "\n")
+    columns = (m.locations, norms, traces.real, traces.imag)
+    with open(dat_path, "w", encoding="ascii") as fh:
+        fh.write("# lambda\topnorm\ttrace_re\ttrace_im\n")
+        _write_rows(fh, "%.17g\t%.17g\t%.17g\t%.17g\n", [c.reshape(len(m), 1) for c in columns])
     lo, hi = support_interval(m)
     pad = 0.05 * max(hi - lo, 1.0)
     dat_name = dat_path.rsplit("/", 1)[-1]

@@ -8,6 +8,7 @@ finite matrices throughout.
 import gc
 import json
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -237,6 +238,26 @@ def matrix_to_json(m) -> dict:
     return obj
 
 
+def _is_real(x) -> bool:
+    """True for a real number, Python's or numpy's; a bool or a string is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _real_array(entries) -> np.ndarray:
+    """Nested lists (or an array) of real numbers as a float array; TypeError on any other entry.
+
+    np.asarray(entries, dtype=float) alone would read true as 1.0 and "2" as 2.0.
+    Ragged lists leave a list as an entry, which fails the test too. An array's
+    dtype says it all: integers and floats pass, bools and the rest do not.
+    """
+    if isinstance(entries, np.ndarray) and entries.dtype.kind in "fiu":
+        return entries.astype(float)
+    cells = np.asarray(entries, dtype=object)
+    if not all(map(_is_real, cells.flat)):
+        raise TypeError("entries must be real numbers")
+    return cells.astype(float)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix schema; "im" is optional and defaults to zero."""
     if not isinstance(obj, dict):
@@ -247,9 +268,9 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError('matrix JSON: "n" must be a positive integer')
     try:
-        re = np.asarray(obj["re"], dtype=float)
+        re = _real_array(obj["re"])
         im_raw = obj.get("im")
-        im = np.zeros((n, n)) if im_raw is None else np.asarray(im_raw, dtype=float)
+        im = np.zeros((n, n)) if im_raw is None else _real_array(im_raw)
     except (TypeError, ValueError) as exc:
         raise ValueError("matrix JSON: entries must be real numbers") from exc
     if re.shape != (n, n) or im.shape != (n, n):

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LATTICE_LIMIT, _load_json, batched_operator_norms, guarded_count, hermitian_defect
+from .linalg import (
+    LATTICE_LIMIT,
+    _is_real,
+    _load_json,
+    _real_array,
+    batched_operator_norms,
+    guarded_count,
+    hermitian_defect,
+)
 
 __all__ = [
     "DiscreteMatrixMeasure",
@@ -33,6 +41,10 @@ __all__ = [
 
 # exponent cap: e^x overflows float64 just above x = 709
 _EXP_ARG_LIMIT = 700.0
+
+# numbers handled per chunk: bounds the text the writers format and the
+# coefficients the transform holds at once, whatever the atom count and n
+_CHUNK_NUMBERS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,8 +106,10 @@ def _contract(coeff: np.ndarray, m: DiscreteMatrixMeasure) -> np.ndarray:
 
     einsum sums the atoms in ascending-location order at every grid point, so a
     point's value does not depend on the grid around it, and moment(m, 0) is
-    laplace_transform(m, 0) bit for bit. A BLAS GEMM would be faster on long
-    grids but sums in another order, which moves the moments' last digits.
+    laplace_transform(m, 0) bit for bit. The one exception seen: for n = 1 and
+    more than 8,192 atoms, a lone row (a scalar t) is summed in another order
+    than a row of a longer grid. A BLAS GEMM would be faster on long grids but
+    sums in another order, which moves the moments' last digits.
     """
     flat = coeff.reshape(math.prod(coeff.shape[:-1]), len(m))
     return np.einsum("tk,kij->tij", flat, m.weights).reshape(coeff.shape[:-1] + (m.dim, m.dim))
@@ -105,9 +119,13 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
     """sum_k e^(t*lambda_k) * W_k at a scalar t or at every point of an array t.
 
     Returns shape t.shape + (n, n): (n, n) for a scalar, (T, n, n) for a grid
-    of T points. Raises OverflowError, naming the worst Re(t)*lambda on the
-    grid, when some e^(t*lambda_k) would leave the float range, and
-    ResourceLimitError, before allocating, beyond LATTICE_LIMIT coefficients.
+    of T points. The grid is evaluated a chunk of points at a time, so about
+    _CHUNK_NUMBERS coefficients e^(t*lambda_k) exist at once (at most three
+    points' worth when K is larger), and each point's value is the one a
+    whole-grid einsum gives, bit for bit. Raises OverflowError, naming the
+    worst Re(t)*lambda on the grid, when some e^(t*lambda_k) would leave the
+    float range, and ResourceLimitError, before allocating, beyond
+    LATTICE_LIMIT coefficients.
     """
     t = np.asarray(t, dtype=np.complex128)
     guarded_count(f"transform coefficients ({t.size} t-points x {len(m)} atoms)",
@@ -120,7 +138,16 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
             raise OverflowError(
                 f"Re(t)*lambda reaches {worst:.6g}, beyond the e^700 float range"
             )
-    return _contract(np.exp(np.multiply.outer(t, m.locations)), m)
+    out = np.empty(t.shape + (m.dim, m.dim), dtype=np.complex128)
+    points, values = t.reshape(-1), out.reshape(-1, m.dim, m.dim)
+    # a lone row is the exception _contract names, so no chunk is one point of a
+    # longer grid: a last lone point joins the chunk before it
+    step = max(2, _CHUNK_NUMBERS // max(1, len(m)))
+    edges = [*range(0, max(t.size - 1, 1), step), t.size]
+    for start, stop in zip(edges, edges[1:]):
+        coeff = np.multiply.outer(points[start:stop], m.locations)
+        values[start:stop] = _contract(np.exp(coeff, out=coeff), m)
+    return out
 
 
 def moment(m: DiscreteMatrixMeasure, k: int) -> np.ndarray:
@@ -194,6 +221,13 @@ def measure_to_json(m: DiscreteMatrixMeasure) -> dict:
 
 
 def measure_from_json(obj) -> DiscreteMatrixMeasure:
+    """The measure of a parsed measure JSON tree; ValueError naming the first malformed part.
+
+    Every atom becomes one packed float64 row [lambda, re, im] (see _pack_atom),
+    whether read_measure packed it while parsing or it arrives here as a dict.
+    When every row fits n, the rows are stacked in one array; otherwise the
+    atoms are checked one by one and the first malformed one is named.
+    """
     if not isinstance(obj, dict):
         raise ValueError("measure JSON: expected an object")
     for key in ("n", "atoms"):
@@ -208,100 +242,98 @@ def measure_from_json(obj) -> DiscreteMatrixMeasure:
     raw = obj["atoms"]
     if not isinstance(raw, list):
         raise ValueError('measure JSON: "atoms" must be a list')
-    arrays = _atom_arrays(raw, n)
-    if arrays is None:
-        arrays = _atom_arrays_one_by_one(raw, n)
-    return DiscreteMatrixMeasure(*arrays, N=nsteps, source="json")
-
-
-def _atom_arrays(raw: list, n: int):
-    """(locations, weights) of well-formed atoms, converted one whole array at a time.
-
-    Returns None when any atom is malformed (or the list is empty), so that
-    the atom-by-atom reader can name the first bad atom with its message.
-    """
-    lams, res, ims = [], [], []
-    for atom in raw:
-        if not isinstance(atom, dict) or "lambda" not in atom or "weight" not in atom:
-            return None
-        w = atom["weight"]
-        if not isinstance(w, dict) or "re" not in w:
-            return None
-        lams.append(atom["lambda"])
-        res.append(w["re"])
-        ims.append(w.get("im"))
-    if any(im is None for im in ims):
-        zero = [[0.0] * n] * n
-        ims = [zero if im is None else im for im in ims]
-    try:
-        # float() per location keeps the atom-by-atom reader's rules (None fails)
-        locs = np.fromiter(map(float, lams), dtype=float, count=len(lams))
-        re = np.array(res, dtype=float)
-        im = np.array(ims, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if re.shape != (len(raw), n, n) or im.shape != re.shape:
-        return None
-    weights = np.empty(re.shape, dtype=np.complex128)
+    width = 1 + 2 * n * n
+    rows = [_pack_atom(atom) if isinstance(atom, dict) else atom for atom in raw]
+    if not all(isinstance(row, np.ndarray) and row.shape == (width,) for row in rows):
+        rows = _atom_rows_one_by_one(rows, n)
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    weights = np.empty((len(rows), n, n), dtype=np.complex128)
     # part by part, not re + 1j*im, which loses the sign of a zero part
-    weights.real, weights.imag = re, im
-    return locs, weights
+    weights.real = table[:, 1:1 + n * n].reshape(len(rows), n, n)
+    weights.imag = table[:, 1 + n * n:].reshape(len(rows), n, n)
+    return DiscreteMatrixMeasure(table[:, 0].copy(), weights, N=nsteps, source="json")
 
 
-def _atom_arrays_one_by_one(raw: list, n: int):
-    """(locations, weights) read atom by atom; raises on the first malformed atom."""
-    locs = np.zeros(len(raw))
-    weights = np.zeros((len(raw), n, n), dtype=np.complex128)
-    for k, atom in enumerate(raw):
+# what the json parser makes of a number; a bool is not one
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _pack_atom(obj: dict):
+    """json object_hook: an atom as one float64 row [lambda, re row-major, im row-major].
+
+    Acts as the parser closes each object, on an atom {"lambda": number,
+    "weight": {"re": k x k, "im": k x k | null | absent}} whose entries are all
+    numbers; an "im" of null or absent packs as zeros. The row is built straight
+    from the parsed lists, so the tree holds one small array per atom. Any other
+    object is returned exactly as parsed, and the atom reader names the first
+    bad atom with its own message.
+    """
+    weight = obj.get("weight")
+    if "lambda" not in obj or type(weight) is not dict:
+        return obj
+    re, im = weight.get("re"), weight.get("im")
+    size = len(re) if type(re) is list else 0
+    row = [obj["lambda"]]
+    for part in (re,) if im is None else (re, im):
+        if not size or type(part) is not list or len(part) != size:
+            return obj
+        for line in part:
+            if type(line) is not list or len(line) != size:
+                return obj
+            row += line
+    if not _NUMBER_TYPES.issuperset(map(type, row)):
+        return obj
+    if im is None:
+        row += [0.0] * (size * size)
+    try:
+        return np.array(row, dtype=float)
+    except OverflowError:  # an integer beyond the float range: left to the atom reader
+        return obj
+
+
+def _atom_rows_one_by_one(atoms: list, n: int) -> list:
+    """The packed row of every atom, checked atom by atom; raises on the first malformed atom.
+
+    An atom is a row that _pack_atom made, or an object it left as is; such an
+    object may still be well formed, say with arrays for "re" and "im", as
+    measure_to_json gives them.
+    """
+    rows = []
+    for k, atom in enumerate(atoms):
+        if isinstance(atom, np.ndarray):
+            # packed: its parts are numbers in square lists, which may not be n x n
+            if atom.shape != (1 + 2 * n * n,):
+                raise ValueError(f"measure JSON: atom {k} weight must be {n}x{n}")
+            rows.append(atom)
+            continue
         if not isinstance(atom, dict) or "lambda" not in atom or "weight" not in atom:
             raise ValueError(f'measure JSON: atom {k} needs "lambda" and "weight"')
-        try:
-            locs[k] = float(atom["lambda"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"measure JSON: atom {k} has a bad location") from exc
+        if not _is_real(atom["lambda"]):
+            raise ValueError(f"measure JSON: atom {k} has a bad location")
+        location = float(atom["lambda"])
         w = atom["weight"]
         if not isinstance(w, dict) or "re" not in w:
             raise ValueError(f'measure JSON: atom {k} weight needs "re"')
         try:
-            re = np.asarray(w["re"], dtype=float)
-            im_raw = w.get("im")
-            im = np.zeros((n, n)) if im_raw is None else np.asarray(im_raw, dtype=float)
+            re = _real_array(w["re"])
+            im = np.zeros((n, n)) if w.get("im") is None else _real_array(w["im"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"measure JSON: atom {k} weight entries must be numbers") from exc
         if re.shape != (n, n) or im.shape != (n, n):
             raise ValueError(f"measure JSON: atom {k} weight must be {n}x{n}")
-        weights[k].real, weights[k].imag = re, im
-    return locs, weights
-
-
-def _weight_arrays(obj: dict) -> dict:
-    """json object_hook: the "re"/"im" lists of an object as float arrays, as the parser closes it.
-
-    Then the parsed tree holds two small arrays per weight, not one Python float
-    per entry. A part that does not convert stays exactly as parsed, so the
-    atom readers still name the first bad atom with their own messages.
-    """
-    for key in ("re", "im"):
-        if isinstance(obj.get(key), list):
-            try:
-                obj[key] = np.array(obj[key], dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                pass
-    return obj
+        rows.append(np.concatenate(([location], re.ravel(), im.ravel())))
+    return rows
 
 
 def read_measure(path) -> DiscreteMatrixMeasure:
-    """Read a measure file; each weight becomes arrays as soon as it is parsed.
+    """Read a measure file; each atom becomes one packed float64 row as soon as it is parsed.
 
     The text is parsed once, by the stdlib json parser, so the rules and
-    messages are those of measure_from_json; a "-0" entry reads as -0.0.
+    messages are those of measure_from_json; a "-0" entry reads as -0.0. The
+    parsed tree holds one row per atom rather than a float object per number,
+    so the file's text, not the tree, sets the peak memory of a read.
     """
-    return measure_from_json(_load_json(path, object_hook=_weight_arrays))
-
-
-# numbers formatted per chunk of rows: bounds the text and the Python floats
-# alive at once, whatever the atom count and the matrix size
-_CHUNK_NUMBERS = 1 << 16
+    return measure_from_json(_load_json(path, object_hook=_pack_atom))
 
 
 def _write_rows(fh, row: str, columns, sep: str = "") -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,3 +15,19 @@ def signed_limit_pair():
     a = np.array([[2.0, 0.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return a, b
+
+
+def _traced_peak(call):
+    """(call(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that runs call() and returns (its result, the peak bytes traced meanwhile)."""
+    return _traced_peak

@@ -5,10 +5,10 @@ All invocations run in-process through cli.main to keep the suite fast.
 
 import gc
 import json
-import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import liemeasure.cli as cli
 from liemeasure.cli import main, parse_schedule, parse_t_grid
@@ -150,21 +150,20 @@ def test_dp_lattice_guard_exits_3_naming_the_count(tmp_path, capsys):
     assert "100000001**2" in err
 
 
-def test_dp_byte_budget_exits_3_naming_the_count_and_the_bytes(tmp_path, capsys):
+def test_dp_byte_budget_exits_3_naming_the_count_and_the_bytes(tmp_path, capsys, traced_peak):
     # 8x8 with three clusters at N=2000: 2001**2 grid points were under the old
     # 5,000,000-point limit, but each holds an 8x8 complex matrix (about 4.1 GB)
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
     write_matrix(a_path, np.diag([0.0] * 3 + [1.0] * 3 + [2.5] * 2))
     write_matrix(b_path, np.full((8, 8), 0.1))
-    start = time.perf_counter()
-    code = main([
+    code, peak = traced_peak(lambda: main([
         "measure", "--a", str(a_path), "--b", str(b_path), "--steps", "2000",
         "--out", str(tmp_path / "m.json"),
-    ])
-    elapsed = time.perf_counter() - start
+    ]))
     err = capsys.readouterr().err
     assert code == 3
-    assert elapsed < 0.5
+    # refused before the grid is allocated: the matrices and the decomposition peak at 73 KB
+    assert peak < 150 * 2**10
     assert "Traceback" not in err
     need = _torus_peak_bytes(2001**2, 2000, 3, 8)
     assert err == (
@@ -172,6 +171,23 @@ def test_dp_byte_budget_exits_3_naming_the_count_and_the_bytes(tmp_path, capsys)
         f" over the budget of {BYTE_BUDGET} bytes\n"
     )
     assert not (tmp_path / "m.json").exists()
+
+
+def test_booleans_and_strings_in_input_files_exit_2(tmp_path, capsys):
+    measure = tmp_path / "m.json"
+    atom = {"lambda": "0.5", "weight": {"re": [["1"]], "im": [[True]]}}
+    measure.write_text(json.dumps({"n": 1, "N": None, "atoms": [atom]}), encoding="ascii")
+    assert main(["transform", "--measure", str(measure)]) == 2
+    assert capsys.readouterr().err == "invalid input: measure JSON: atom 0 has a bad location\n"
+    atom["lambda"] = 0.5
+    measure.write_text(json.dumps({"n": 1, "N": None, "atoms": [atom]}), encoding="ascii")
+    assert main(["transform", "--measure", str(measure)]) == 2
+    assert capsys.readouterr().err == "invalid input: measure JSON: atom 0 weight entries must be numbers\n"
+    matrix = tmp_path / "a.json"
+    matrix.write_text(json.dumps({"n": 1, "re": [[True]], "im": [["2"]]}), encoding="ascii")
+    argv = ["measure", "--a", str(matrix), "--b", str(matrix), "--steps", "2", "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "invalid input: matrix JSON: entries must be real numbers\n"
 
 
 def test_a_command_leaves_no_cyclic_garbage(tmp_path, pair_files, capsys):
@@ -329,36 +345,48 @@ def test_mismatched_a_and_b_give_one_message(tmp_path, capsys):
     assert captured.out == ""
 
 
+# peak bytes of a refused transform, about twice the measured peak: the 1e-6
+# grid itself (16 MB) and the arange it is built from (8 MB), or 6-8 KB
+REFUSED_TRANSFORM_PEAK = {"0:1:1e-6": 48 * 2**20, "0:1:1e-12": 16 * 2**10}
+
+
 @pytest.mark.parametrize("tgrid", ["0:1:1e-6", "0:1:1e-12"])
-def test_transform_grid_guard_exits_3_before_allocating(tmp_path, pair_files, capsys, tgrid):
+def test_transform_grid_guard_exits_3_before_allocating(tmp_path, pair_files, capsys, traced_peak, tgrid):
     # 1e-6: 10**6 + 1 points pass the t-grid guard, but 9 atoms make 9,000,009
-    # coefficients; 1e-12: 10**12 + 1 points are refused before any is built
+    # coefficients (144 MB); 1e-12: 10**12 + 1 points are refused before any is built
     a_path, b_path = pair_files
     out = str(tmp_path / "m.json")
     assert main(["measure", "--a", a_path, "--b", b_path, "--steps", "8", "--out", out]) == 0
     capsys.readouterr()
-    start = time.perf_counter()
-    code = main(["transform", "--measure", out, "--a", a_path, "--b", b_path, "--tgrid", tgrid])
-    elapsed = time.perf_counter() - start
+    code, peak = traced_peak(
+        lambda: main(["transform", "--measure", out, "--a", a_path, "--b", b_path, "--tgrid", tgrid])
+    )
     err = capsys.readouterr().err
     assert code == 3
-    assert elapsed < 0.5
+    assert peak < REFUSED_TRANSFORM_PEAK[tgrid]
     assert err.startswith("resource limit: ") and "Traceback" not in err
     want = "9000009" if tgrid == "0:1:1e-6" else "t-grid points: 1000000000001 "
     assert want in err
 
 
-def test_converge_on_a_long_t_grid_evaluates_the_truth_once(tmp_path, pair_files, capsys):
+def test_converge_on_a_long_t_grid_evaluates_the_truth_once(tmp_path, pair_files, capsys, monkeypatch):
     # 10,001 t-points: one stacked expm, not one call per point
     a_path, b_path = pair_files
-    start = time.perf_counter()
+    shapes = []
+    expm = scipy.linalg.expm
+
+    def counted(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return expm(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
     code = main([
         "converge", "--a", a_path, "--b", b_path, "--schedule", "4",
         "--tgrid", "0:1:1e-4", "--out", str(tmp_path / "c.csv"),
     ])
-    elapsed = time.perf_counter() - start
     assert code == 0 and capsys.readouterr().err == ""
-    assert elapsed < 0.5
+    # every other call takes one matrix, such as e^(B/N)
+    assert [s for s in shapes if len(s) == 3] == [(10_001, 2, 2)]
 
 
 @pytest.mark.parametrize(

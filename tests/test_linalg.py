@@ -235,6 +235,19 @@ def test_matrix_from_json_validation():
         matrix_from_json({"re": [[1.0]]})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 1, "re": [[True]], "im": [["2"]]},
+        {"n": 1, "re": [["1"]]},
+        {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, False], [0.0, 0.0]]},
+    ],
+)
+def test_matrix_from_json_refuses_booleans_and_strings(obj):
+    with pytest.raises(ValueError, match="^matrix JSON: entries must be real numbers$"):
+        matrix_from_json(obj)
+
+
 def test_matrix_write_read_write_keeps_negative_zeros(tmp_path):
     m = np.empty((2, 2), dtype=np.complex128)
     m.real = [[-0.0, 1.0], [2.0, -0.0]]

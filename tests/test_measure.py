@@ -87,6 +87,21 @@ def test_laplace_transform_scalar_and_empty_grids():
     assert np.array_equal(laplace_transform(empty, np.arange(4.0)), np.zeros((4, 2, 2)))
 
 
+@pytest.mark.parametrize("n, count", [(1, 9_000), (3, 200)])
+def test_laplace_transform_across_chunk_boundaries(monkeypatch, n, count):
+    # however the grid is cut into chunks, each point keeps the whole-grid value
+    # bit for bit; for n = 1 beyond 8,192 atoms einsum sums a lone point's atoms
+    # in another order, so a chunk must never be one point of a longer grid
+    rng = np.random.default_rng(count)
+    m = random_measure(rng, k=count, n=n)
+    for numbers in (1, count, 3 * count, 1 << 16):
+        monkeypatch.setattr(measure_module, "_CHUNK_NUMBERS", numbers)
+        for points in (1, 2, 3, 7, 8):
+            t = rng.uniform(-1.0, 1.0, points) + 1j * rng.uniform(-1.0, 1.0, points)
+            whole = measure_module._contract(np.exp(np.multiply.outer(t, m.locations)), m)
+            assert laplace_transform(m, t).tobytes() == whole.tobytes(), (numbers, points)
+
+
 def test_total_variation_and_support():
     m = two_atom_measure()
     assert total_variation(m) == pytest.approx(2.0, abs=1e-12)
@@ -268,6 +283,15 @@ def _identity_atom(lam=0.0):
         ({"lambda": 1.0, "weight": {"re": 1.0}}, "atom 1 weight must be 2x2"),
         ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0]]}}, "atom 1 weight must be 2x2"),
         ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0, 0.0]] * 3}}, "atom 1 weight must be 2x2"),
+        # a bool or a numeric string is not a number
+        ({"lambda": "0.5", "weight": {"re": [[1.0, 0.0], [0.0, 1.0]]}}, "atom 1 has a bad location"),
+        ({"lambda": True, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]]}}, "atom 1 has a bad location"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, "0"], [0.0, 1.0]]}}, "atom 1 weight entries must be numbers"),
+        ({"lambda": 1.0, "weight": {"re": [[True, 0.0], [0.0, 1.0]]}}, "atom 1 weight entries must be numbers"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, False], [0.0, 0.0]]}},
+         "atom 1 weight entries must be numbers"),
+        # ragged rows with four entries in all
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0, 0.0], [1.0]]}}, "atom 1 weight entries must be numbers"),
     ],
 )
 def test_measure_from_json_malformed_atom(tmp_path, bad_atom, message):

@@ -1,7 +1,5 @@
 """The torus builder's slabs, the byte budget's peak-bytes predictions, and bounded measure I/O."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from liemeasure.approximant import (
     compositions,
 )
 from liemeasure.linalg import BYTE_BUDGET, ResourceLimitError, _tuple_peak_bytes, guarded_count
-from liemeasure.measure import DiscreteMatrixMeasure, read_measure, write_measure
+from liemeasure.measure import DiscreteMatrixMeasure, laplace_transform, read_measure, write_measure
 from liemeasure.sampling import hermitian_with_spectrum, random_matrix, spaced_values
 
 # a grid size per cluster count, kept small: (N+1)**(l-1) points
@@ -97,34 +95,25 @@ def test_measure_keeps_the_builders_array_read_only(rng):
         m.locations[0] = 0.0
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n, l, n_steps", [(8, 2, 1024), (3, 3, 128), (4, 4, 24), (2, 2, 20000), (5, 3, 60)])
-def test_torus_peak_bytes_prediction(rng, n, l, n_steps):
+def test_torus_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
     a, b = _pair(rng, n, l)
-    peak = _traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=n_steps)))
+    _, peak = traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=n_steps)))
     predicted = approximant._torus_peak_bytes((n_steps + 1) ** (l - 1), n_steps, l, n)
     assert peak <= predicted <= 2 * peak
 
 
 @pytest.mark.parametrize("n, l, n_steps", [(2, 2, 14), (3, 3, 9), (4, 2, 12), (3, 2, 13)])
-def test_bruteforce_peak_bytes_prediction(rng, n, l, n_steps):
+def test_bruteforce_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
     a, b = _pair(rng, n, l)
-    peak = _traced_peak(lambda: build_measure_bruteforce(a, b, ApproximantConfig(N=n_steps)))
+    _, peak = traced_peak(lambda: build_measure_bruteforce(a, b, ApproximantConfig(N=n_steps)))
     predicted = _tuple_peak_bytes(l**n_steps, n_steps, n)
     assert peak <= predicted <= 2 * peak
 
 
 @pytest.mark.parametrize("total, parts", [(2000, 3), (100, 4), (40, 5), (10**5, 2)])
-def test_compositions_peak_bytes_prediction(total, parts):
-    peak = _traced_peak(lambda: compositions(total, parts))
+def test_compositions_peak_bytes_prediction(traced_peak, total, parts):
+    _, peak = traced_peak(lambda: compositions(total, parts))
     predicted = approximant._compositions_peak_bytes(total, parts)
     assert peak <= predicted <= 2 * peak
 
@@ -159,16 +148,32 @@ def test_bruteforce_single_cluster_beyond_64_steps():
     assert np.abs(m.weights - dp.weights).max() <= 1e-12
 
 
+def _random_measure(count, n):
+    rng = np.random.default_rng(count)
+    weights = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return DiscreteMatrixMeasure(np.sort(rng.uniform(-1.0, 1.0, count)), weights, N=256)
+
+
 # (atoms, n, write bound, read bound) in MB; 33,153 atoms is measure-generic's 3x3
 # measure at N=256. Whole-file I/O peaked at 45 MB (write) and 62 MB (read) on
 # these inputs, and at 35 MB (write) in the 8x8 case, whose rows of 129 numbers
-# catch a chunk sized by atoms rather than by numbers.
-@pytest.mark.parametrize("count, n, write_mb, read_mb", [(33_153, 3, 8, 48), (4_000, 8, 8, None)])
-def test_measure_io_peak_is_bounded(tmp_path, count, n, write_mb, read_mb):
-    rng = np.random.default_rng(count)
-    weights = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    m = DiscreteMatrixMeasure(np.sort(rng.uniform(-1.0, 1.0, count)), weights, N=256)
+# catch a chunk sized by atoms rather than by numbers. A read holds the file's
+# text twice while the parser starts (bytes, then str: 27 MB and 20 MB here);
+# a parsed tree of arrays per weight rather than one row per atom read 39 MB.
+@pytest.mark.parametrize("count, n, write_mb, read_mb", [(33_153, 3, 8, 36), (4_000, 8, 8, 24)])
+def test_measure_io_peak_is_bounded(tmp_path, traced_peak, count, n, write_mb, read_mb):
+    m = _random_measure(count, n)
     path = tmp_path / "m.json"
-    assert _traced_peak(lambda: write_measure(path, m)) < write_mb * 2**20
-    if read_mb is not None:
-        assert _traced_peak(lambda: read_measure(path)) < read_mb * 2**20
+    assert traced_peak(lambda: write_measure(path, m))[1] < write_mb * 2**20
+    assert traced_peak(lambda: read_measure(path))[1] < read_mb * 2**20
+
+
+def test_transform_peak_is_bounded(traced_peak):
+    # 23 points (the CLI's default grid) x 33,153 atoms: the whole coefficient
+    # matrix is 12 MB, and it and its exponential peaked at 24 MB; a chunk of
+    # points holds at most three points' coefficients here
+    m = _random_measure(33_153, 3)
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 21), [1j, -1j]])
+    values, peak = traced_peak(lambda: laplace_transform(m, grid))
+    assert values.shape == (23, 3, 3)
+    assert peak < 4 * 2**20
