@@ -34,7 +34,7 @@ from .linalg import (
     tuple_factor_products,
 )
 from .measure import DiscreteMatrixMeasure
-from .spectral import SpectralDecomposition, decompose
+from .spectral import SpectralDecomposition, _decompose_stack, decompose
 
 __all__ = [
     "ApproximantConfig",
@@ -99,8 +99,14 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 
 def composition_locations(counts: np.ndarray, eigenvalues: np.ndarray, n_steps: int) -> np.ndarray:
-    """Location (sum_j counts_j * lambda_j) / n_steps for each composition row."""
-    return np.asarray(counts, dtype=float) @ np.asarray(eigenvalues, dtype=float) / float(n_steps)
+    """Location (sum_j counts_j * lambda_j) / n_steps for each composition row.
+
+    eigenvalues of shape (k, l) give a (k, rows) array, one row per spectrum,
+    each bit for bit its own call's: every spectrum is one matrix-vector
+    product, where one matrix product over all k would sum in another order.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)[..., np.newaxis]
+    return np.matmul(np.asarray(counts, dtype=float), lam)[..., 0] / float(n_steps)
 
 
 def n_convex_hull(eigenvalues, n_steps: int) -> np.ndarray:
@@ -128,27 +134,42 @@ def lie_approximant(a, b, t, n_steps: int) -> np.ndarray:
     ah = require_hermitian(am, 1e-9, "a")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
+    return _lie_approximants(ah[np.newaxis], bm[np.newaxis], t, int(n_steps))[0]
+
+
+def _lie_approximants(ah: np.ndarray, b: np.ndarray, t, n_steps: int) -> np.ndarray:
+    """lie_approximant of each pair of (k, n, n) stacks, ah symmetrized; shape (k,) + t.shape + (n, n).
+
+    One eigh, one expm and one matrix power serve every pair and point; each
+    pair's values are bit for bit its own call's.
+    """
     t = np.asarray(t, dtype=np.complex128)
+    k, n = b.shape[:2]
     mu, vecs = np.linalg.eigh(ah)
-    phases = np.exp(np.multiply.outer(t / n_steps, mu))[..., np.newaxis, :]
-    step = (vecs * phases) @ vecs.conj().T @ matrix_exp(bm / n_steps)
-    return np.linalg.matrix_power(step, int(n_steps))
+    inner = (k,) + (1,) * t.ndim
+    phases = np.exp((t / n_steps)[np.newaxis, ..., np.newaxis] * mu.reshape(inner + (n,)))
+    vecs = vecs.reshape(inner + (n, n))
+    step = (vecs * phases[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
+    return np.linalg.matrix_power(step @ matrix_exp(b / n_steps).reshape(inner + (n, n)), n_steps)
 
 
 def commuting_case_measure(a, b, cluster_tol: float = 1e-8) -> DiscreteMatrixMeasure:
     """Atoms (lambda_j, E_j e^b E_j); represents e^(ta) e^b, and e^(ta+b) when ab = ba."""
     am, bm = as_matrix_pair(a, b)
-    dec = decompose(am, cluster_tol)
-    eb = matrix_exp(bm)
+    return _commuting_measure(decompose(am, cluster_tol), matrix_exp(bm))
+
+
+def _commuting_measure(dec: SpectralDecomposition, eb: np.ndarray) -> DiscreteMatrixMeasure:
+    """commuting_case_measure from a's decomposition and e^b."""
     weights = np.matmul(np.matmul(dec.projectors, eb), dec.projectors)
     return DiscreteMatrixMeasure(
         dec.eigenvalues.copy(), weights, N=None, source="commuting-case"
     )
 
 
-def _prepare(a, b, cfg: ApproximantConfig):
-    am, bm = as_matrix_pair(a, b)
-    return decompose(am, cfg.cluster_tol), matrix_exp(bm / cfg.N)
+def _prepare(a: np.ndarray, b: np.ndarray, cfg: ApproximantConfig):
+    """Each instance's decomposition of a and its e^(b/N), for (k, n, n) stacks from as_matrix."""
+    return _decompose_stack(a, cfg.cluster_tol), matrix_exp(b / cfg.N)
 
 
 def _merge_starts(locs: np.ndarray, tol: float) -> np.ndarray:
@@ -158,7 +179,10 @@ def _merge_starts(locs: np.ndarray, tol: float) -> np.ndarray:
     one atom; a wider run is split wherever a location lies more than tol
     past the first location of its atom, so no atom spans more than tol.
     """
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(locs) > tol) + 1))
+    apart = np.diff(locs) > tol
+    if apart.all():  # every atom stands alone
+        return np.arange(locs.size)
+    starts = np.concatenate(([0], np.flatnonzero(apart) + 1))
     lasts = np.append(starts[1:], locs.size) - 1
     wide = locs[lasts] - locs[starts] > tol
     if not wide.any():
@@ -173,15 +197,15 @@ def _merge_starts(locs: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(np.concatenate((starts, np.array(splits, dtype=starts.dtype))))
 
 
-def _sorted_locations(counts: np.ndarray, dec: SpectralDecomposition, n_steps: int):
-    """Locations of lexicographic composition rows, stably sorted, and the sorting order.
+def _sorted_locations(counts: np.ndarray, decs: list[SpectralDecomposition], n_steps: int):
+    """Each decomposition's locations of lexicographic composition rows, stably sorted, and the orders.
 
-    Lexicographic rows make the stable sort (and therefore the merge)
-    identical across builders.
+    Both are (k, rows) arrays. Lexicographic rows make the stable sort (and
+    therefore the merge) identical across builders.
     """
-    locs = composition_locations(counts, dec.eigenvalues, n_steps)
-    order = np.argsort(locs, kind="stable")
-    return locs[order], order
+    locs = composition_locations(counts, np.stack([d.eigenvalues for d in decs]), n_steps)
+    order = np.argsort(locs, axis=1, kind="stable")
+    return np.take_along_axis(locs, order, axis=1), order
 
 
 def _collapse(
@@ -214,31 +238,61 @@ def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeas
     the accumulated sum of per-tuple product norms is kept on the result as
     tuple_norm_sum.
     """
-    dec, step = _prepare(a, b, cfg)
-    l = len(dec)
-    idx, prods = tuple_factor_products(np.matmul(dec.projectors, step), cfg.N)  # E_j e^(b/N)
-    norm_sum = float(batched_operator_norms(prods).sum())
+    am, bm = as_matrix_pair(a, b)
+    return _bruteforce_measures(*_prepare(am[np.newaxis], bm[np.newaxis], cfg), cfg)[0]
+
+
+def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[DiscreteMatrixMeasure]:
+    """build_measure_bruteforce of k instances from _prepare that share n and l, in stacked calls.
+
+    Each measure is bit for bit its own call's. The products of all k are
+    alive at once, so callers stack about _slab_block(l**N, n)[0] instances.
+    """
+    k, n = steps.shape[:2]
+    l = len(decs[0])
+    factors = np.matmul(np.stack([d.projectors for d in decs]), steps[:, np.newaxis])  # E_j e^(b/N)
+    idx, prods = tuple_factor_products(factors, cfg.N)
+    total = idx.shape[0]
+    prods = prods.reshape(k * total, n, n)
+    # a contiguous row sums in the order a lone instance's norms do
+    norm_sums = np.ascontiguousarray(batched_operator_norms(prods)).reshape(k, total).sum(axis=1)
     counts = np.stack([(idx == j).sum(axis=1) for j in range(l)], axis=1)
     unique_counts, inverse = np.unique(counts, axis=0, return_inverse=True)
-    grouped = np.zeros((unique_counts.shape[0],) + prods.shape[1:], dtype=np.complex128)
-    np.add.at(grouped, inverse.reshape(-1), prods)
-    locs, order = _sorted_locations(unique_counts, dec, cfg.N)
-    return _collapse(locs, grouped[order], dec, cfg, "bruteforce", tuple_norm_sum=norm_sum)
+    cells = len(unique_counts)
+    grouped = np.zeros((k, cells, n, n), dtype=np.complex128)
+    targets = inverse.reshape(1, -1) + cells * np.arange(k)[:, np.newaxis]
+    np.add.at(grouped.reshape(k * cells, n, n), targets.reshape(-1), prods)
+    locs, order = _sorted_locations(unique_counts, decs, cfg.N)
+    return [
+        _collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce",
+                  tuple_norm_sum=float(norm_sums[i]))
+        for i in range(k)
+    ]
 
 
-_SLAB_BYTES = 1 << 18  # the torus builder works on about this many bytes of matrices at a time
+_SLAB_BYTES = 1 << 18  # the builders work on about this many bytes of matrices at a time
 
 
 def _slab_len(n: int) -> int:
     return max(1, _SLAB_BYTES // (16 * n * n))
 
 
-def _torus_peak_bytes(points: int, n_steps: int, l: int, n: int) -> int:
-    """Predicted peak bytes of build_measure_dp on its (n_steps+1)**(l-1)-point grid."""
+def _slab_block(count: int, n: int) -> tuple[int, int]:
+    """(instances, items) per block of at most one slab, for instances of count (n, n) matrices each.
+
+    Whole instances share a block while they fit; a larger instance is cut
+    into blocks of one slab of its matrices.
+    """
+    slab = _slab_len(n)
+    return max(1, slab // count), min(count, slab)
+
+
+def _torus_peak_bytes(points: int, n_steps: int, l: int, n: int, k: int = 1) -> int:
+    """Predicted peak bytes of the torus builder for k instances on (n_steps+1)**(l-1)-point grids."""
     atoms = math.comb(n_steps + l - 1, l - 1)
-    # the grid, the output, the slabs alive inside one matrix_power, and each
+    # the grids, the outputs, the slabs alive inside one matrix_power, and each
     # output atom's location and grid cell
-    return 16 * n * n * (points + atoms + 4 * min(points, _slab_len(n))) + 16 * atoms
+    return 16 * n * n * (k * (points + atoms) + 4 * min(k * points, _slab_len(n))) + 16 * k * atoms
 
 
 def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
@@ -256,31 +310,54 @@ def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
     eps * e^||b||. Refused, before allocating, when the predicted peak bytes
     exceed linalg.BYTE_BUDGET.
     """
-    dec, step = _prepare(a, b, cfg)
-    l, n, big_n = len(dec), dec.source_dim, cfg.N
+    am, bm = as_matrix_pair(a, b)
+    return _torus_measures(*_prepare(am[np.newaxis], bm[np.newaxis], cfg), cfg)[0]
+
+
+def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[DiscreteMatrixMeasure]:
+    """build_measure_dp of k instances from _prepare that share n and l, in stacked calls.
+
+    The k grids form one array with a leading instance axis; whole instances
+    share a slab of matrix powers and of rotations while their grids fit one,
+    and each measure is bit for bit its own call's. The grids and outputs of
+    all k are alive at once, so callers stack about _slab_block(grid points, n)[0]
+    instances; the guard predicts the peak of all k.
+    """
+    k, n = steps.shape[:2]
+    l, big_n = len(decs[0]), cfg.N
     points = guarded_count("torus grid points", big_n + 1, l - 1,
-                           peak_bytes=lambda p: _torus_peak_bytes(p, big_n, l, n))
-    slab = _slab_len(n)
-    vecs = dec.vectors
+                           peak_bytes=lambda p: _torus_peak_bytes(p, big_n, l, n, k))
+    vecs = np.stack([d.vectors for d in decs])
+    adj = vecs.conj().swapaxes(1, 2)
+    labels = np.stack([d.labels for d in decs])
     strides = (big_n + 1) ** np.arange(l - 2, -1, -1)  # of the grid's axes, in C order
     counts = compositions(big_n, l)
-    locs, order = _sorted_locations(counts, dec, big_n)
+    locs, order = _sorted_locations(counts, decs, big_n)
     cells = (counts[:, :-1] @ strides)[order]  # each atom's grid cell, in location order
     del counts, order
-    grid = np.empty((big_n + 1,) * (l - 1) + (n, n), dtype=np.complex128)
-    flat = grid.reshape(points, n, n)
-    rotated_step = vecs.conj().T @ step @ vecs
+    grid = np.empty((k,) + (big_n + 1,) * (l - 1) + (n, n), dtype=np.complex128)
+    flat = grid.reshape(k, points, n, n)
+    rotated_step = adj @ steps @ vecs
     roots = np.exp(-2j * np.pi * np.arange(big_n + 1) / (big_n + 1))
-    for start in range(0, points, slab):
-        idx = np.arange(start, min(start + slab, points)) // strides[:, np.newaxis] % (big_n + 1)
-        # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
-        expo = np.vstack([idx, np.zeros((1, idx.shape[1]), dtype=idx.dtype)])[dec.labels].T
-        flat[start:start + slab] = np.linalg.matrix_power(
-            roots[expo][:, :, np.newaxis] * rotated_step, big_n
-        )
-    np.fft.ifftn(grid, axes=tuple(range(l - 1)), out=grid)
-    weights = np.empty((cells.size, n, n), dtype=np.complex128)
-    for start in range(0, cells.size, slab):
-        weights[start:start + slab] = vecs @ flat[cells[start:start + slab]] @ vecs.conj().T
+    per, width = _slab_block(points, n)
+    for i in range(0, k, per):
+        for start in range(0, points, width):
+            idx = np.arange(start, min(start + width, points)) // strides[:, np.newaxis] % (big_n + 1)
+            # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
+            expo = np.vstack([idx, np.zeros((1, idx.shape[1]), dtype=idx.dtype)])[labels[i:i + per]]
+            flat[i:i + per, start:start + width] = np.linalg.matrix_power(
+                roots[expo.swapaxes(1, 2)][..., np.newaxis] * rotated_step[i:i + per, np.newaxis], big_n
+            )
+    np.fft.ifftn(grid, axes=tuple(range(1, l)), out=grid)
+    atoms = cells.shape[1]
+    weights = np.empty((k, atoms, n, n), dtype=np.complex128)
+    per, width = _slab_block(atoms, n)
+    for i in range(0, k, per):
+        for start in range(0, atoms, width):
+            block = cells[i:i + per, start:start + width]
+            rows = np.arange(i, i + block.shape[0])[:, np.newaxis]
+            weights[i:i + per, start:start + width] = (
+                vecs[i:i + per, np.newaxis] @ flat[rows, block] @ adj[i:i + per, np.newaxis]
+            )
     del grid, flat
-    return _collapse(locs, weights, dec, cfg, "dp")
+    return [_collapse(locs[i], weights[i], decs[i], cfg, "dp") for i in range(k)]

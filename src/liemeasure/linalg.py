@@ -72,12 +72,18 @@ def guarded_count(what: str, base: int, exponent: int, limit: int | None = None,
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 array with finite entries, or raise ValueError."""
+    return _as_square(value, name, 2)
+
+
+def _as_square(value, name: str, ndim: int) -> np.ndarray:
+    """as_matrix for a matrix (ndim 2) or for a (k, n, n) stack of k >= 1 matrices (ndim 3)."""
     try:
         m = np.asarray(value, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: not interpretable as a complex matrix") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or min(m.shape) < 1:
+        shape = "square matrix" if ndim == 2 else "(k, n, n) stack of square matrices"
+        raise ValueError(f"{name}: expected a {shape}, got shape {m.shape}")
     if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValueError(f"{name}: entries must be finite")
     return m
@@ -113,15 +119,21 @@ def require_hermitian(s, tol: float = 1e-9, name: str = "matrix") -> np.ndarray:
     The symmetrized copy is what downstream eigen-based code consumes, so
     rounding-level asymmetry in the input never reaches LAPACK.
     """
-    m = as_matrix(s, name)
-    if hermitian_defect(m) > tol * operator_norm(m):
+    return _hermitian_stack(as_matrix(s, name)[np.newaxis], tol, name)[0]
+
+
+def _hermitian_stack(m: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """require_hermitian of every matrix of a (k, n, n) stack from as_matrix, in stacked SVDs."""
+    adj = m.conj().swapaxes(1, 2)
+    defect = np.linalg.svd(m - adj, compute_uv=False)[:, 0]
+    if np.any(defect > tol * np.linalg.svd(m, compute_uv=False)[:, 0]):
         raise ValueError(f"{name}: not Hermitian within tolerance {tol:g}")
-    return (m + m.conj().T) / 2.0
+    return (m + adj) / 2.0
 
 
 def matrix_exp(x) -> np.ndarray:
-    """Matrix exponential e^x (scaling and squaring)."""
-    return scipy.linalg.expm(as_matrix(x))
+    """Matrix exponential e^x (scaling and squaring) of a matrix, or of each matrix of a (k, n, n) stack."""
+    return scipy.linalg.expm(_as_square(x, "matrix", 3 if np.ndim(x) == 3 else 2))
 
 
 def is_psd(s, tol: float = 1e-9) -> bool:
@@ -142,11 +154,11 @@ def batched_operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w, compute_uv=False)[:, 0]
 
 
-def _tuple_peak_bytes(total: int, count: int, n: int) -> int:
-    """Predicted peak bytes of tuple_factor_products: total tuples of count (n, n) factors."""
-    # the int32 index table, three (total, n, n) stacks (the running product, the
-    # gathered next factor and their product) and the int64 tuple numbers, plus 8 spare
-    return total * (4 * count + 48 * n * n + 16)
+def _tuple_peak_bytes(total: int, count: int, n: int, k: int = 1) -> int:
+    """Predicted peak bytes of tuple_factor_products: total tuples of count (n, n) factors, k times."""
+    # the int32 index table, the int64 tuple numbers plus 8 spare, and three
+    # (k, total, n, n) stacks: the running product, the gathered next factor and their product
+    return total * (4 * count + 16 + 48 * k * n * n)
 
 
 def tuple_factor_products(factors, count: int):
@@ -154,26 +166,31 @@ def tuple_factor_products(factors, count: int):
 
     Tuples (k1, ..., k_count) run over {0..l-1}^count in lexicographic order.
     Returns (idx, prods) where idx is (K, count) int32 and prods is (K, n, n),
-    K = l**count. Raises ResourceLimitError, before allocating, when the
-    predicted peak bytes exceed BYTE_BUDGET.
+    K = l**count. A (k, l, n, n) stack of k factor sets gives (k, K, n, n)
+    products, each set's bit for bit its own call's. Raises
+    ResourceLimitError, before allocating, when the predicted peak bytes
+    exceed BYTE_BUDGET.
     """
     f = np.asarray(factors, dtype=np.complex128)
-    if f.ndim != 3 or f.shape[1] != f.shape[2] or f.shape[0] < 1:
-        raise ValueError(f"factors: expected a (l, n, n) stack, got shape {f.shape}")
+    stacked = f.ndim == 4
+    if f.ndim not in (3, 4) or f.shape[-1] != f.shape[-2] or min(f.shape[:-2]) < 1:
+        raise ValueError(f"factors: expected a (l, n, n) or (k, l, n, n) stack, got shape {f.shape}")
     if count < 1:
         raise ValueError("count must be a positive integer")
-    l, n = f.shape[0], f.shape[1]
+    if not stacked:
+        f = f[np.newaxis]
+    k, l, n = f.shape[:3]
     total = guarded_count("index tuples", l, count,
-                          peak_bytes=lambda k: _tuple_peak_bytes(k, count, n))
+                          peak_bytes=lambda t: _tuple_peak_bytes(t, count, n, k))
     # column p is digit p, most significant first, of the tuple's number in base l
     numbers = np.arange(total)
     idx = np.empty((total, count), dtype=np.int32)
     for p in range(count):
         idx[:, p] = numbers // l ** (count - 1 - p) % l
-    prods = f[idx[:, 0]]
+    prods = f[:, idx[:, 0]]
     for p in range(1, count):
-        prods = np.matmul(prods, f[idx[:, p]])
-    return idx, prods
+        prods = np.matmul(prods, f[:, idx[:, p]])
+    return idx, prods if stacked else prods[0]
 
 
 # ---------------------------------------------------------------------------

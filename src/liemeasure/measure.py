@@ -79,7 +79,7 @@ class DiscreteMatrixMeasure:
             raise ValueError("locations and weights disagree on the atom count")
         if not np.all(np.isfinite(locs)):
             raise ValueError("locations must be finite")
-        if not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
+        if not np.isfinite(w).all():  # a complex entry is finite when both parts are
             raise ValueError("weights must be finite")
         if np.any(np.diff(locs) <= 0):
             raise ValueError("locations must be strictly increasing")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import require_hermitian
+from .linalg import _hermitian_stack, as_matrix
 
 __all__ = ["SpectralDecomposition", "decompose", "apply_function", "scaled_exp"]
 
@@ -49,7 +49,7 @@ class SpectralDecomposition:
             raise ValueError(f"vectors must be a square matrix, got shape {vecs.shape}")
         if labels.shape != (vecs.shape[0],) or labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be {vecs.shape[0]} integers, one per column of vectors")
-        if not np.array_equal(np.unique(labels), np.arange(lam.size)):
+        if set(labels.tolist()) != set(range(lam.size)):
             raise ValueError(f"labels must name every cluster 0..{lam.size - 1} and no other")
         # read-only, so the checks above keep holding; views, so nothing is copied
         for name, x in (("eigenvalues", lam), ("vectors", vecs), ("labels", labels)):
@@ -97,11 +97,28 @@ def decompose(a, cluster_tol: float = 1e-8) -> SpectralDecomposition:
     """
     if not (cluster_tol >= 0):
         raise ValueError("cluster_tol must be non-negative")
-    w, v = np.linalg.eigh(require_hermitian(a, 1e-9, "a"))
-    gap = cluster_tol * max(1.0, float(np.abs(w).max()))
+    return _decompose_stack(as_matrix(a, "a")[np.newaxis], cluster_tol)[0]
+
+
+def _decompose_stack(a: np.ndarray, cluster_tol: float) -> list[SpectralDecomposition]:
+    """decompose of every matrix of a (k, n, n) stack from linalg.as_matrix, in stacked calls.
+
+    One eigh and two SVDs serve the whole stack, and one bincount over labels
+    offset by n per matrix sums every cluster; each result is bit for bit its
+    own decompose call's.
+    """
+    w, v = np.linalg.eigh(_hermitian_stack(a, 1e-9, "a"))
+    k, n = w.shape
+    gap = cluster_tol * np.maximum(1.0, np.abs(w).max(axis=1))
     # a new cluster starts wherever the sorted spectrum jumps by more than gap
-    labels = np.cumsum(np.diff(w, prepend=w[0]) > gap)
-    return SpectralDecomposition(np.bincount(labels, weights=w) / np.bincount(labels), v, labels)
+    labels = np.cumsum(np.diff(w, prepend=w[:, :1], axis=1) > gap[:, np.newaxis], axis=1)
+    flat = (labels + n * np.arange(k)[:, np.newaxis]).ravel()
+    sums = np.bincount(flat, weights=w.ravel(), minlength=k * n).reshape(k, n)
+    sizes = np.bincount(flat, minlength=k * n).reshape(k, n)
+    return [
+        SpectralDecomposition(sums[i, :l] / sizes[i, :l], v[i], labels[i])
+        for i, l in enumerate((labels[:, -1] + 1).tolist())
+    ]
 
 
 def apply_function(d: SpectralDecomposition, f) -> np.ndarray:

@@ -28,7 +28,8 @@ def _pair(rng, n, l):
 
 def _one_shot(a, b, n_steps):
     """Locations and weights by the whole-grid formula: one matrix power, one ifftn."""
-    dec, step = approximant._prepare(a, b, ApproximantConfig(N=n_steps))
+    decs, steps = approximant._prepare(a[np.newaxis], b[np.newaxis], ApproximantConfig(N=n_steps))
+    dec, step = decs[0], steps[0]
     l, n = len(dec), dec.source_dim
     shape = (n_steps + 1,) * (l - 1)
     points = (n_steps + 1) ** (l - 1)
