@@ -242,11 +242,37 @@ def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeas
     return _bruteforce_measures(*_prepare(am[np.newaxis], bm[np.newaxis], cfg), cfg)[0]
 
 
-def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[DiscreteMatrixMeasure]:
+def _group_compositions(idx: np.ndarray, l: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct composition rows in lexicographic order, each tuple's row) of a (K, n_steps) index table.
+
+    The same pair np.unique(counts, axis=0, return_inverse=True) gives for the
+    tuples' (K, l) count rows, through one integer code per tuple: its counts
+    of clusters 0..l-2 as digits in base n_steps+1, which order as the rows
+    do. Codes past int64 are Python ints.
+    """
+    base = n_steps + 1
+    wide = base ** (l - 1) > 2**63  # every code is below base**(l-1)
+    radix = np.array([base ** (l - 2 - j) for j in range(l - 1)] + [0], dtype=object if wide else np.int64)
+    codes = np.zeros(idx.shape[0], dtype=radix.dtype)
+    for column in idx.T:
+        codes += radix[column]
+    codes, inverse = np.unique(codes, return_inverse=True)
+    counts = np.empty((codes.size, l), dtype=np.int64)
+    for j in range(l - 1):
+        counts[:, j] = codes // radix[j] % base
+    counts[:, -1] = n_steps - counts[:, :-1].sum(axis=1)
+    return counts, inverse
+
+
+def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig,
+                         norm_sums: bool = True) -> list[DiscreteMatrixMeasure]:
     """build_measure_bruteforce of k instances from _prepare that share n and l, in stacked calls.
 
-    Each measure is bit for bit its own call's. The products of all k are
-    alive at once, so callers stack about _slab_block(l**N, n)[0] instances.
+    Each measure is bit for bit its own call's; without norm_sums, its
+    tuple_norm_sum is None and the l**N tuple norms are never formed. The
+    products of all k are alive at once, beside the index table and a few
+    int64 numbers per tuple, so the peak is linalg._tuple_peak_bytes(l**N, N, n, k)
+    and callers stack about _slab_block(l**N, n)[0] instances.
     """
     k, n = steps.shape[:2]
     l = len(decs[0])
@@ -254,18 +280,19 @@ def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> lis
     idx, prods = tuple_factor_products(factors, cfg.N)
     total = idx.shape[0]
     prods = prods.reshape(k * total, n, n)
-    # a contiguous row sums in the order a lone instance's norms do
-    norm_sums = np.ascontiguousarray(batched_operator_norms(prods)).reshape(k, total).sum(axis=1)
-    counts = np.stack([(idx == j).sum(axis=1) for j in range(l)], axis=1)
-    unique_counts, inverse = np.unique(counts, axis=0, return_inverse=True)
-    cells = len(unique_counts)
+    sums = [None] * k
+    if norm_sums:
+        # a contiguous row sums in the order a lone instance's norms do
+        sums = np.ascontiguousarray(batched_operator_norms(prods)).reshape(k, total).sum(axis=1).tolist()
+    counts, inverse = _group_compositions(idx, l, cfg.N)
+    del idx
+    cells = len(counts)
     grouped = np.zeros((k, cells, n, n), dtype=np.complex128)
     targets = inverse.reshape(1, -1) + cells * np.arange(k)[:, np.newaxis]
     np.add.at(grouped.reshape(k * cells, n, n), targets.reshape(-1), prods)
-    locs, order = _sorted_locations(unique_counts, decs, cfg.N)
+    locs, order = _sorted_locations(counts, decs, cfg.N)
     return [
-        _collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce",
-                  tuple_norm_sum=float(norm_sums[i]))
+        _collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce", tuple_norm_sum=sums[i])
         for i in range(k)
     ]
 

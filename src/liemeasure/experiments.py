@@ -25,13 +25,11 @@ from .linalg import (
     require_hermitian,
 )
 from .measure import (
-    DiscreteMatrixMeasure,
     hermitian_deviation,
     laplace_transform,
     moment,
     total_variation,
     trace_measure,
-    transform_distance,
 )
 from .spectral import decompose
 
@@ -167,7 +165,12 @@ def convergence_study(
     cluster_tol: float = 1e-8,
     merge_tol: float = 1e-9,
 ) -> ConvergenceReport:
-    """Measure the approach of L_N and M_N to e^(ta+b) and its derivatives at 0."""
+    """Measure the approach of L_N and M_N to e^(ta+b) and its derivatives at 0.
+
+    One measure is alive at a time: each M_N is freed before the next build.
+    The Cauchy distance from M_N to M_2N is taken from their transforms on the
+    grid, kept for the N whose double or half is in the schedule.
+    """
     sched = _check_schedule(n_schedule)
     grid = default_t_grid() if t_grid is None else np.asarray([complex(t) for t in t_grid])
     if grid.size == 0:
@@ -177,14 +180,15 @@ def convergence_study(
     truths = truth_exponential(ah, bm, grid)
     d_truth = np.stack([exp_curve_derivative(ah, bm, k) for k in range(3)])
 
-    measures: dict[int, DiscreteMatrixMeasure] = {}
+    paired = {n for n in sched if 2 * n in sched}
+    paired |= {2 * n for n in paired}
+    transforms: dict[int, np.ndarray] = {}
     raw = []
     for n_steps in sched:
         cfg = ApproximantConfig(
             N=n_steps, cluster_tol=cluster_tol, merge_tol=merge_tol
         )
         m = build_measure_dp(ah, bm, cfg)
-        measures[n_steps] = m
         err = float(batched_operator_norms(lie_approximant(ah, bm, grid, n_steps) - truths).max())
         moments = np.stack([moment(m, k) for k in range(3)])
         mom_err = [float(e) for e in batched_operator_norms(moments - d_truth)]
@@ -199,13 +203,17 @@ def convergence_study(
                 moment2_err=mom_err[2],
             )
         )
+        if n_steps in paired:
+            transforms[n_steps] = laplace_transform(m, grid)
+        del m  # before the next build
 
     points = []
     for entry in raw:
         twice = 2 * entry["N"]
+        # transform_distance of M_N and M_2N, from their transforms on the grid
         cauchy = (
-            transform_distance(measures[entry["N"]], measures[twice], grid)
-            if twice in measures
+            float(batched_operator_norms(transforms[entry["N"]] - transforms[twice]).max())
+            if twice in transforms
             else None
         )
         points.append(ConvergencePoint(cauchy_distance=cauchy, **entry))

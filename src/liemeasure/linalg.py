@@ -155,10 +155,15 @@ def batched_operator_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _tuple_peak_bytes(total: int, count: int, n: int, k: int = 1) -> int:
-    """Predicted peak bytes of tuple_factor_products: total tuples of count (n, n) factors, k times."""
-    # the int32 index table, the int64 tuple numbers plus 8 spare, and three
-    # (k, total, n, n) stacks: the running product, the gathered next factor and their product
-    return total * (4 * count + 16 + 48 * k * n * n)
+    """Predicted peak bytes of tuple_factor_products: total tuples of count (n, n) factors, k times.
+
+    Also the brute-force builder's peak: it holds the products, the index table
+    and int64 numbers per tuple (composition codes, their group, their target).
+    """
+    l = round(total ** (1 / count))  # total is l**count
+    # the int32 index table, three int64 numbers per tuple, and the last two levels
+    # of (k, l**p, n, n) prefix products
+    return total * (4 * count + 24) + 16 * k * n * n * (total + total // l)
 
 
 def tuple_factor_products(factors, count: int):
@@ -166,10 +171,13 @@ def tuple_factor_products(factors, count: int):
 
     Tuples (k1, ..., k_count) run over {0..l-1}^count in lexicographic order.
     Returns (idx, prods) where idx is (K, count) int32 and prods is (K, n, n),
-    K = l**count. A (k, l, n, n) stack of k factor sets gives (k, K, n, n)
-    products, each set's bit for bit its own call's. Raises
-    ResourceLimitError, before allocating, when the predicted peak bytes
-    exceed BYTE_BUDGET.
+    K = l**count. The products are built by prefix, one level per factor:
+    tuples that share a prefix share its product, so a level costs one
+    product per tuple of that length, and each product is still formed left
+    to right, bit for bit the one a left-to-right reduce gives. A (k, l, n, n)
+    stack of k factor sets gives (k, K, n, n) products, each set's bit for bit
+    its own call's. Raises ResourceLimitError, before allocating, when the
+    predicted peak bytes exceed BYTE_BUDGET.
     """
     f = np.asarray(factors, dtype=np.complex128)
     stacked = f.ndim == 4
@@ -183,13 +191,14 @@ def tuple_factor_products(factors, count: int):
     total = guarded_count("index tuples", l, count,
                           peak_bytes=lambda t: _tuple_peak_bytes(t, count, n, k))
     # column p is digit p, most significant first, of the tuple's number in base l
-    numbers = np.arange(total)
     idx = np.empty((total, count), dtype=np.int32)
     for p in range(count):
-        idx[:, p] = numbers // l ** (count - 1 - p) % l
-    prods = f[:, idx[:, 0]]
-    for p in range(1, count):
-        prods = np.matmul(prods, f[:, idx[:, p]])
+        idx.reshape(l**p, l, -1, count)[:, :, :, p] = np.arange(l)[:, np.newaxis]
+    # level p holds the l**p products of the tuples' first p factors; a prefix's
+    # l children follow it in lexicographic order
+    prods = f.copy()
+    for _ in range(1, count):
+        prods = np.matmul(prods[:, :, np.newaxis], f[:, np.newaxis]).reshape(k, -1, n, n)
     return idx, prods if stacked else prods[0]
 
 

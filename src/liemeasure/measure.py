@@ -192,7 +192,9 @@ def hermitian_deviation(m: DiscreteMatrixMeasure) -> float:
     """max over atoms of ||W_k - W_k*||; zero when every weight is Hermitian."""
     if not len(m):
         return 0.0
-    defect = m.weights - np.conj(np.swapaxes(m.weights, 1, 2))
+    # W - W* formed in the one array that holds W*
+    defect = np.conj(np.swapaxes(m.weights, 1, 2))
+    np.subtract(m.weights, defect, out=defect)
     return float(batched_operator_norms(defect).max())
 
 

@@ -161,16 +161,33 @@ def partition_product_bound(projectors, r, count: int):
         raise ValueError(
             f"projectors must sum to the identity (defect {ident_defect:.3e})"
         )
-    step = matrix_exp(rr / count)
-    factors = np.matmul(mats.astype(np.complex128), step)
+    sums, bounds, _ = _partition_products(mats[np.newaxis], rr[np.newaxis], count)
+    return float(sums[0]), float(bounds[0])
+
+
+def _partition_products(projectors: np.ndarray, r: np.ndarray, count: int):
+    """partition_product_bound of k cases: (k, l, n, n) projectors and (k, n, n) r, unchecked.
+
+    Returns (sums of norms, bounds n*||e^r||, telescoping gaps ||sum of the
+    products - e^r||), each of shape (k,), each case's values bit for bit its
+    own call's. The products of all k are alive at once.
+    """
+    k, _, n = projectors.shape[:3]
+    er = matrix_exp(r)
+    factors = np.matmul(projectors.astype(np.complex128), matrix_exp(r / count)[:, np.newaxis])
     _, prods = tuple_factor_products(factors, count)
-    sum_norms = float(batched_operator_norms(prods).sum())
-    bound = float(n * operator_norm(matrix_exp(rr)))
-    return sum_norms, bound
+    # a contiguous row sums in the order a lone case's norms do
+    sums = np.ascontiguousarray(batched_operator_norms(prods.reshape(-1, n, n))).reshape(k, -1).sum(axis=1)
+    gaps = batched_operator_norms(np.add.reduce(prods, axis=1) - er)
+    return sums, n * batched_operator_norms(er), gaps
 
 
 def total_variation_bound(n: int, b) -> float:
-    """n * e^(n*||b||), the a-priori total-variation bound for any step count."""
+    """n * e^(n*||b||), the a-priori total-variation bound for any step count; inf past the float range."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
-    return float(n * math.exp(n * operator_norm(b)))
+    growth = n * operator_norm(b)
+    try:
+        return float(n * math.exp(growth))
+    except OverflowError:  # e^x leaves the float range just above x = 709
+        return math.inf

@@ -4,9 +4,8 @@ import numpy as np
 
 from .. import sampling
 from ..approximant import _SLAB_BYTES, _bruteforce_measures
-from ..linalg import batched_operator_norms, matrix_exp, tuple_factor_products
 from ..measure import total_variation
-from ..norms import partition_product_bound, total_variation_bound
+from ..norms import _partition_products, total_variation_bound
 from .harness import Build, as_payload, build_lemma, built_margins, run_trials, stack, tuple_bytes
 
 
@@ -38,20 +37,13 @@ def lemma_partition_product_bound(rng, trials, max_dim, min_gap=0.0):
     def margins(cases):
         projectors, r = stack(cases, 0), stack(cases, 1)
         n_steps = cases[0][2]
-        k, _, n = projectors.shape[:3]
-        er = matrix_exp(r)
-        step = matrix_exp(r / n_steps)
+        k, l, n = projectors.shape[:3]
         out = np.empty(k)
-        per = max(1, _SLAB_BYTES // tuple_bytes(projectors.shape[1], n_steps, n))
+        per = max(1, _SLAB_BYTES // tuple_bytes(l, n_steps, n))
         for start in range(0, k, per):
             part = slice(start, start + per)
-            factors = np.matmul(projectors[part].astype(np.complex128), step[part, np.newaxis])
-            _, prods = tuple_factor_products(factors, n_steps)
-            telescoped = np.add.reduce(prods, axis=1)
-            gaps = batched_operator_norms(telescoped - er[part])
-            for j, gap in enumerate(gaps.tolist(), start):
-                sum_norms, bound = partition_product_bound(cases[j][0], cases[j][1], n_steps)
-                out[j] = min(bound + 1e-8 - sum_norms, 1e-9 - gap)
+            sums, bounds, gaps = _partition_products(projectors[part], r[part], n_steps)
+            out[part] = np.minimum(bounds + 1e-8 - sums, 1e-9 - gaps)
         return out
 
     return run_trials("partition-product-bound", rng, trials, draw,

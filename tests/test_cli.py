@@ -63,6 +63,18 @@ def test_measure_command_writes_and_reports(tmp_path, pair_files, capsys):
     assert open(trace).readline().strip() == "lambda,weight_re,weight_im"
 
 
+def test_measure_reports_an_overflowing_tv_bound_as_inf(tmp_path, capsys):
+    # n*||B|| = 3 * 240.1 is past e^709: the a-priori bound reads inf and the command succeeds
+    a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+    write_matrix(a_path, np.diag([0.0, 1.0, 2.0]))
+    write_matrix(b_path, np.diag([240.0, 0.0, 0.0]) + 0.1)
+    assert main(["measure", "--a", str(a_path), "--b", str(b_path), "--steps", "4", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("atoms=9 support=[0,2] tv=")
+    assert captured.out.endswith(" tv_bound=inf\n") and captured.err == ""
+    assert len(read_measure(out)) == 9
+
+
 def test_measure_command_brute_matches_dp(tmp_path, pair_files):
     a_path, b_path = pair_files
     out_dp = str(tmp_path / "dp.json")

@@ -28,8 +28,8 @@ from liemeasure.experiments import (
     write_convergence_csv,
     write_convergence_json,
 )
-from liemeasure.linalg import matrix_exp, operator_norm
-from liemeasure.measure import moment
+from liemeasure.linalg import matrix_exp, operator_norm, require_hermitian
+from liemeasure.measure import moment, transform_distance
 from liemeasure.sampling import noncommuting_hermitian_pair, random_hermitian, random_matrix
 
 
@@ -159,6 +159,22 @@ def test_convergence_study_on_signed_pair(signed_limit_pair):
         assert p.moment0_err <= 1e-10
     assert report.points[0].cauchy_distance is not None
     assert report.points[-1].cauchy_distance is None  # 64 not in the schedule
+
+
+@pytest.mark.parametrize("grid", [None, np.array([-0.8, 0.0, 0.25, 1.0, 0.5j, -0.5j])])
+def test_cauchy_distance_is_the_transform_distance_of_separate_builds(rng, grid):
+    a, b = noncommuting_hermitian_pair(rng, 3)
+    a = require_hermitian(a)  # the study's own copy of a
+    sched = (4, 6, 8, 12, 16, 32)
+    report = convergence_study(a, b, sched, t_grid=grid)
+    t = default_t_grid() if grid is None else grid
+    for p in report.points:
+        if 2 * p.N not in sched:
+            assert p.cauchy_distance is None
+            continue
+        m, m2 = (build_measure_dp(a, b, ApproximantConfig(N=n)) for n in (p.N, 2 * p.N))
+        assert p.cauchy_distance == transform_distance(m, m2, t)
+    assert [p.cauchy_distance is None for p in report.points] == [False, False, False, True, False, True]
 
 
 def test_convergence_study_moment_errors_shrink(signed_limit_pair):

@@ -1,7 +1,9 @@
 """Core matrix helpers, checked against oracles that avoid numpy's own
 eigenvalue machinery where the function under test relies on it."""
 
+import functools
 import gc
+import itertools
 import json
 import math
 
@@ -186,10 +188,33 @@ def test_tuple_factor_products_enumeration_order():
         assert np.abs(prod - want).max() <= 1e-15
 
 
+@seed(20260816)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(1, 6), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1)
+)
+def test_prefix_products_equal_a_left_to_right_reduce_bit_for_bit(l, count, n, stacked, draw):
+    rng = np.random.default_rng(draw)
+    sets = 3 if stacked else 1
+    factors = rng.standard_normal((sets, l, n, n)) + 1j * rng.standard_normal((sets, l, n, n))
+    idx, prods = tuple_factor_products(factors if stacked else factors[0], count)
+    assert prods.shape == ((sets,) if stacked else ()) + (l**count, n, n)
+    want_idx = np.array(list(itertools.product(range(l), repeat=count)), dtype=np.int32)
+    assert idx.dtype == np.int32 and idx.tobytes() == want_idx.tobytes()
+    for f, got in zip(factors, prods if stacked else prods[np.newaxis]):
+        want = np.stack([functools.reduce(np.matmul, f[row]) for row in idx])
+        assert got.tobytes() == want.tobytes()
+    # the products are the function's own: writing to them leaves the factors be
+    before = factors.copy()
+    prods[...] = 0
+    assert factors.tobytes() == before.tobytes()
+
+
 def test_tuple_factor_products_guard():
     f = np.stack([np.eye(2, dtype=complex)] * 3)
-    # 3**20 tuples of 2x2 products: 4*20 index bytes and three 64-byte matrices, plus 16
-    need = 3**20 * (4 * 20 + 3 * 64 + 16)
+    # 3**20 tuples of 2x2 products: 4*20 index bytes and three int64 numbers per tuple,
+    # plus the last two levels of 64-byte products, 3**20 and 3**19 of them
+    need = 3**20 * (4 * 20 + 24) + 64 * (3**20 + 3**19)
     with pytest.raises(
         ResourceLimitError,
         match=rf"^index tuples: 3\*\*20 would need {need} bytes, over the budget of 2147483648 bytes$",

@@ -143,6 +143,16 @@ def test_hermitian_deviation():
     assert hermitian_deviation(sym) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_hermitian_deviation_matches_the_two_copy_formula_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+    m = DiscreteMatrixMeasure(np.arange(40.0), w)
+    two_copy = m.weights - np.conj(np.swapaxes(m.weights, 1, 2))
+    assert hermitian_deviation(m) == float(np.linalg.svd(two_copy, compute_uv=False)[:, 0].max())
+    assert m.weights.tobytes() == w.tobytes()
+
+
 def test_transform_distance():
     m = two_atom_measure()
     grid = np.array([0.0, 1.0, -1.0, 1j])

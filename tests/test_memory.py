@@ -11,6 +11,7 @@ from liemeasure.approximant import (
     composition_locations,
     compositions,
 )
+from liemeasure.experiments import convergence_study
 from liemeasure.linalg import BYTE_BUDGET, ResourceLimitError, _tuple_peak_bytes, guarded_count
 from liemeasure.measure import DiscreteMatrixMeasure, laplace_transform, read_measure, write_measure
 from liemeasure.sampling import hermitian_with_spectrum, random_matrix, spaced_values
@@ -110,6 +111,17 @@ def test_bruteforce_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
     _, peak = traced_peak(lambda: build_measure_bruteforce(a, b, ApproximantConfig(N=n_steps)))
     predicted = _tuple_peak_bytes(l**n_steps, n_steps, n)
     assert peak <= predicted <= 2 * peak
+
+
+def test_convergence_study_peaks_at_its_largest_build(rng, traced_peak):
+    # each M_N is freed before the next build and only its 23-point transform is
+    # kept, so the study peaks at about one N=2048 build; holding every measure
+    # (and W - W* in two copies) peaked at 8.2 MiB
+    a, b = _pair(rng, 8, 2)
+    schedule = tuple(16 * 2**i for i in range(8))
+    report, peak = traced_peak(lambda: convergence_study(a, b, schedule))
+    assert [p.N for p in report.points] == list(schedule)
+    assert peak <= approximant._torus_peak_bytes(2049, 2048, 2, 8)
 
 
 @pytest.mark.parametrize("total, parts", [(2000, 3), (100, 4), (40, 5), (10**5, 2)])

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from liemeasure.linalg import matrix_exp, operator_norm
+from liemeasure.linalg import matrix_exp, operator_norm, tuple_factor_products
 from liemeasure.norms import (
+    _partition_products,
     check_exp_monotone,
     inverse_triangle_sum,
     is_subordinate,
@@ -122,10 +123,31 @@ def test_partition_product_bound_telescopes(rng):
         assert sum_norms <= bound + 1e-8
 
 
+@pytest.mark.parametrize("n, parts, count", [(2, 1, 3), (2, 2, 1), (3, 2, 4), (4, 3, 2), (3, 3, 5)])
+def test_partition_product_bound_is_the_stacked_core_bit_for_bit(rng, n, parts, count):
+    projectors = np.stack([random_diagonal_partition(rng, n, parts) for _ in range(4)])
+    r = np.stack([random_nonneg(rng, n, scale=float(rng.uniform(0.1, 1.2))) for _ in range(4)])
+    sums, bounds, gaps = _partition_products(projectors, r, count)
+    for p, x, s, bound, gap in zip(projectors, r, sums, bounds, gaps):
+        assert partition_product_bound(p, x, count) == (float(s), float(bound))
+        # the gap telescopes the products of this case alone
+        factors = p.astype(complex) @ matrix_exp(x / count)
+        _, prods = tuple_factor_products(factors, count)
+        assert gap == operator_norm(prods.sum(axis=0) - matrix_exp(x))
+        assert gap <= 1e-9 and s <= bound + 1e-8
+
+
 def test_partition_product_bound_rejects_non_partition(rng):
     projectors = np.stack([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         partition_product_bound(projectors, random_nonneg(rng, 2), 2)
+
+
+def test_total_variation_bound_past_the_float_range_is_inf():
+    # 3 * ||b|| = 720.3: e^720.3 overflows a float, so the bound is +inf, not an error
+    b = np.diag([240.0, 0.0, 0.0]) + 0.1
+    assert total_variation_bound(3, b) == math.inf
+    assert total_variation_bound(3, b / 2) == pytest.approx(3 * math.exp(3 * operator_norm(b / 2)), rel=1e-14)
 
 
 def test_total_variation_bound_formula():

@@ -217,9 +217,9 @@ def test_stacked_builds_are_refused_before_allocating(rng, traced_peak, stacked)
         message = r"^torus grid points: 2001\*\*2 would need \d+ bytes, over the budget"
     else:
         factors = np.stack([np.stack([np.eye(2, dtype=complex)] * 2)] * 3)
-        one = _tuple_peak_bytes(2**22, 22, 2)
-        call = lambda: tuple_factor_products(factors, 22)
-        message = r"^index tuples: 2\*\*22 would need \d+ bytes, over the budget"
+        one = _tuple_peak_bytes(2**23, 23, 2)
+        call = lambda: tuple_factor_products(factors, 23)
+        message = r"^index tuples: 2\*\*23 would need \d+ bytes, over the budget"
     assert 3 * one > BYTE_BUDGET > one
 
     def refused():
