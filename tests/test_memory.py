@@ -115,8 +115,7 @@ def test_bruteforce_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
 
 def test_convergence_study_peaks_at_its_largest_build(rng, traced_peak):
     # each M_N is freed before the next build and only its 23-point transform is
-    # kept, so the study peaks at about one N=2048 build; holding every measure
-    # (and W - W* in two copies) peaked at 8.2 MiB
+    # kept, so the study peaks at about one N=2048 build
     a, b = _pair(rng, 8, 2)
     schedule = tuple(16 * 2**i for i in range(8))
     report, peak = traced_peak(lambda: convergence_study(a, b, schedule))
