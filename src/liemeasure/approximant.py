@@ -27,7 +27,6 @@ import numpy as np
 
 from .linalg import (
     as_matrix_pair,
-    batched_operator_norms,
     guarded_count,
     matrix_exp,
     require_hermitian,
@@ -214,7 +213,6 @@ def _collapse(
     dec: SpectralDecomposition,
     cfg: ApproximantConfig,
     source: str,
-    tuple_norm_sum: float | None = None,
 ) -> DiscreteMatrixMeasure:
     """Turn sorted candidate atoms into a measure, fusing near-equal locations.
 
@@ -225,37 +223,43 @@ def _collapse(
     if starts.size < locs.size:
         locs = np.add.reduceat(locs, starts) / np.diff(np.append(starts, locs.size))
         weights = np.add.reduceat(weights, starts, axis=0)
-    return DiscreteMatrixMeasure(
-        locs, weights, N=int(cfg.N), source=source, tuple_norm_sum=tuple_norm_sum
-    )
+    return DiscreteMatrixMeasure(locs, weights, N=int(cfg.N), source=source)
 
 
 def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
     """Enumerate all l^N index tuples, multiply out, and group by composition.
 
     The oracle builder: transparent but exponential, so refused when
-    linalg.tuple_factor_products predicts more than linalg.BYTE_BUDGET bytes;
-    the accumulated sum of per-tuple product norms is kept on the result as
-    tuple_norm_sum.
+    linalg.tuple_factor_products predicts more than linalg.BYTE_BUDGET bytes.
+    Each tuple's product is added to the weight of its composition; nothing
+    else is formed from the products.
     """
     am, bm = as_matrix_pair(a, b)
     return _bruteforce_measures(*_prepare(am[np.newaxis], bm[np.newaxis], cfg), cfg)[0]
 
 
-def _group_compositions(idx: np.ndarray, l: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct composition rows in lexicographic order, each tuple's row) of a (K, n_steps) index table.
+def _tuple_products(decs, steps: np.ndarray, n_steps: int) -> np.ndarray:
+    """(k, l**n_steps, n, n) products of the factors E_j e^(b/N) over index tuples, for k instances from _prepare."""
+    factors = np.matmul(np.stack([d.projectors for d in decs]), steps[:, np.newaxis])
+    return tuple_factor_products(factors, n_steps)
 
-    The same pair np.unique(counts, axis=0, return_inverse=True) gives for the
-    tuples' (K, l) count rows, through one integer code per tuple: its counts
-    of clusters 0..l-2 as digits in base n_steps+1, which order as the rows
-    do. Codes past int64 are Python ints.
+
+def _group_compositions(l: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct composition rows in lexicographic order, each tuple's row) of the l**n_steps index tuples.
+
+    Tuples run in lexicographic order, as in tuple_factor_products. The pair is
+    np.unique(counts, axis=0, return_inverse=True) of the tuples' (K, l) count
+    rows, through one integer code per tuple: its counts of clusters 0..l-2 as
+    digits in base n_steps+1, which order as the rows do. A tuple's code is its
+    prefix's code plus its last index's digit, so the codes are built level by
+    level. Codes past int64 are Python ints.
     """
     base = n_steps + 1
     wide = base ** (l - 1) > 2**63  # every code is below base**(l-1)
     radix = np.array([base ** (l - 2 - j) for j in range(l - 1)] + [0], dtype=object if wide else np.int64)
-    codes = np.zeros(idx.shape[0], dtype=radix.dtype)
-    for column in idx.T:
-        codes += radix[column]
+    codes = np.zeros(1, dtype=radix.dtype)
+    for _ in range(n_steps):
+        codes = (codes[:, np.newaxis] + radix).reshape(-1)
     codes, inverse = np.unique(codes, return_inverse=True)
     counts = np.empty((codes.size, l), dtype=np.int64)
     for j in range(l - 1):
@@ -264,37 +268,23 @@ def _group_compositions(idx: np.ndarray, l: int, n_steps: int) -> tuple[np.ndarr
     return counts, inverse
 
 
-def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig,
-                         norm_sums: bool = True) -> list[DiscreteMatrixMeasure]:
+def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[DiscreteMatrixMeasure]:
     """build_measure_bruteforce of k instances from _prepare that share n and l, in stacked calls.
 
-    Each measure is bit for bit its own call's; without norm_sums, its
-    tuple_norm_sum is None and the l**N tuple norms are never formed. The
-    products of all k are alive at once, beside the index table and a few
-    int64 numbers per tuple, so the peak is linalg._tuple_peak_bytes(l**N, N, n, k)
-    and callers stack about _slab_block(l**N, n)[0] instances.
+    Each measure is bit for bit its own call's. The products of all k are
+    alive at once, beside a few int64 numbers per tuple, so the peak is
+    linalg._tuple_peak_bytes(l**N, N, n, k) and callers stack about
+    _slab_block(l**N, n)[0] instances.
     """
     k, n = steps.shape[:2]
-    l = len(decs[0])
-    factors = np.matmul(np.stack([d.projectors for d in decs]), steps[:, np.newaxis])  # E_j e^(b/N)
-    idx, prods = tuple_factor_products(factors, cfg.N)
-    total = idx.shape[0]
-    prods = prods.reshape(k * total, n, n)
-    sums = [None] * k
-    if norm_sums:
-        # a contiguous row sums in the order a lone instance's norms do
-        sums = np.ascontiguousarray(batched_operator_norms(prods)).reshape(k, total).sum(axis=1).tolist()
-    counts, inverse = _group_compositions(idx, l, cfg.N)
-    del idx
+    prods = _tuple_products(decs, steps, cfg.N)
+    counts, inverse = _group_compositions(len(decs[0]), cfg.N)
     cells = len(counts)
     grouped = np.zeros((k, cells, n, n), dtype=np.complex128)
     targets = inverse.reshape(1, -1) + cells * np.arange(k)[:, np.newaxis]
-    np.add.at(grouped.reshape(k * cells, n, n), targets.reshape(-1), prods)
+    np.add.at(grouped.reshape(k * cells, n, n), targets.reshape(-1), prods.reshape(-1, n, n))
     locs, order = _sorted_locations(counts, decs, cfg.N)
-    return [
-        _collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce", tuple_norm_sum=sums[i])
-        for i in range(k)
-    ]
+    return [_collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce") for i in range(k)]
 
 
 _SLAB_BYTES = 1 << 18  # the builders work on about this many bytes of matrices at a time

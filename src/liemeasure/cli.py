@@ -18,6 +18,7 @@ from .approximant import ApproximantConfig, build_measure_bruteforce, build_meas
 from .experiments import (
     COUNTEREXAMPLE_SCHEDULE,
     DEFAULT_SCHEDULE,
+    _check_schedule,
     convergence_study,
     counterexample_demo,
     default_t_grid,
@@ -91,9 +92,10 @@ def parse_schedule(spec: str) -> tuple[int, ...]:
         values = tuple(int(s) for s in items)
     except ValueError:
         raise _UsageError(f"bad schedule {spec!r}; expected comma separated integers") from None
-    if any(v <= 0 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
-        raise _UsageError("schedule must be strictly increasing positive integers")
-    return values
+    try:
+        return _check_schedule(values)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _fmt(x: float) -> str:

@@ -157,27 +157,25 @@ def batched_operator_norms(stack: np.ndarray) -> np.ndarray:
 def _tuple_peak_bytes(total: int, count: int, n: int, k: int = 1) -> int:
     """Predicted peak bytes of tuple_factor_products: total tuples of count (n, n) factors, k times.
 
-    Also the brute-force builder's peak: it holds the products, the index table
-    and int64 numbers per tuple (composition codes, their group, their target).
+    Also the brute-force builder's peak: it holds the products and int64
+    numbers per tuple (composition codes, their group, their target).
     """
     l = round(total ** (1 / count))  # total is l**count
-    # the int32 index table, three int64 numbers per tuple, and the last two levels
-    # of (k, l**p, n, n) prefix products
-    return total * (4 * count + 24) + 16 * k * n * n * (total + total // l)
+    # three int64 numbers per tuple, and the last two levels of (k, l**p, n, n) prefix products
+    return 24 * total + 16 * k * n * n * (total + total // l)
 
 
-def tuple_factor_products(factors, count: int):
+def tuple_factor_products(factors, count: int) -> np.ndarray:
     """All products factors[k1] @ ... @ factors[k_count] over index tuples.
 
-    Tuples (k1, ..., k_count) run over {0..l-1}^count in lexicographic order.
-    Returns (idx, prods) where idx is (K, count) int32 and prods is (K, n, n),
-    K = l**count. The products are built by prefix, one level per factor:
-    tuples that share a prefix share its product, so a level costs one
-    product per tuple of that length, and each product is still formed left
-    to right, bit for bit the one a left-to-right reduce gives. A (k, l, n, n)
-    stack of k factor sets gives (k, K, n, n) products, each set's bit for bit
-    its own call's. Raises ResourceLimitError, before allocating, when the
-    predicted peak bytes exceed BYTE_BUDGET.
+    Returns the (K, n, n) products, K = l**count, of the tuples (k1, ..., k_count)
+    over {0..l-1}^count in lexicographic order. They are built by prefix, one
+    level per factor: tuples that share a prefix share its product, so a level
+    costs one product per tuple of that length, and each product is still
+    formed left to right, bit for bit the one a left-to-right reduce gives. A
+    (k, l, n, n) stack of k factor sets gives (k, K, n, n) products, each set's
+    bit for bit its own call's. Raises ResourceLimitError, before allocating,
+    when the predicted peak bytes exceed BYTE_BUDGET.
     """
     f = np.asarray(factors, dtype=np.complex128)
     stacked = f.ndim == 4
@@ -188,18 +186,22 @@ def tuple_factor_products(factors, count: int):
     if not stacked:
         f = f[np.newaxis]
     k, l, n = f.shape[:3]
-    total = guarded_count("index tuples", l, count,
-                          peak_bytes=lambda t: _tuple_peak_bytes(t, count, n, k))
-    # column p is digit p, most significant first, of the tuple's number in base l
-    idx = np.empty((total, count), dtype=np.int32)
-    for p in range(count):
-        idx.reshape(l**p, l, -1, count)[:, :, :, p] = np.arange(l)[:, np.newaxis]
+    guarded_count("index tuples", l, count, peak_bytes=lambda t: _tuple_peak_bytes(t, count, n, k))
     # level p holds the l**p products of the tuples' first p factors; a prefix's
     # l children follow it in lexicographic order
     prods = f.copy()
     for _ in range(1, count):
         prods = np.matmul(prods[:, :, np.newaxis], f[:, np.newaxis]).reshape(k, -1, n, n)
-    return idx, prods if stacked else prods[0]
+    return prods if stacked else prods[0]
+
+
+def _tuple_norm_sums(prods: np.ndarray) -> np.ndarray:
+    """Sum of the operator norms of each set of a (k, K, n, n) stack of products, each its own set's bit for bit.
+
+    A set's norms form one contiguous row, which sums in the order a lone set's norms do.
+    """
+    k, total, n = prods.shape[:3]
+    return np.ascontiguousarray(batched_operator_norms(prods.reshape(k * total, n, n))).reshape(k, total).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,6 @@ class DiscreteMatrixMeasure:
     weights:   (K, n, n) complex array, weights[k] sits at locations[k]
     N:         step count of the construction that produced the measure, if any
     source:    free-form provenance label ("dp", "bruteforce", ...)
-    tuple_norm_sum: when built by exhaustive enumeration, the accumulated sum
-        of the operator norms of the per-tuple products (an upper bound for
-        the total variation)
 
     locations and weights are stored read-only, as views rather than copies.
     """
@@ -66,7 +63,6 @@ class DiscreteMatrixMeasure:
     weights: np.ndarray
     N: int | None = None
     source: str | None = None
-    tuple_norm_sum: float | None = None
 
     def __post_init__(self):
         locs = np.asarray(self.locations, dtype=float)
@@ -214,10 +210,13 @@ def transform_distance(m1: DiscreteMatrixMeasure, m2: DiscreteMatrixMeasure, t_g
 # ---------------------------------------------------------------------------
 
 def measure_to_json(m: DiscreteMatrixMeasure) -> dict:
-    """Schema: {"n": int, "N": int|null, "atoms": [{"lambda": float, "weight": {"re", "im"}}]}."""
+    """Schema: {"n": int, "N": int|null, "atoms": [{"lambda": float, "weight": {"re", "im"}}]}.
+
+    Floats in nested lists, as json.load gives them, so measure_from_json packs every atom.
+    """
     atoms = [
-        {"lambda": float(l), "weight": {"re": w.real, "im": w.imag}}
-        for l, w in zip(m.locations, m.weights)
+        {"lambda": l, "weight": {"re": re, "im": im}}
+        for l, re, im in zip(m.locations.tolist(), m.weights.real.tolist(), m.weights.imag.tolist())
     ]
     return {"n": m.dim, "N": None if m.N is None else int(m.N), "atoms": atoms}
 
@@ -297,8 +296,7 @@ def _atom_rows_one_by_one(atoms: list, n: int) -> list:
     """The packed row of every atom, checked atom by atom; raises on the first malformed atom.
 
     An atom is a row that _pack_atom made, or an object it left as is; such an
-    object may still be well formed, say with arrays for "re" and "im", as
-    measure_to_json gives them.
+    object may still be well formed, say with arrays for "re" and "im".
     """
     rows = []
     for k, atom in enumerate(atoms):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _tuple_norm_sums,
     as_matrix,
     batched_operator_norms,
     matrix_exp,
@@ -172,14 +173,12 @@ def _partition_products(projectors: np.ndarray, r: np.ndarray, count: int):
     products - e^r||), each of shape (k,), each case's values bit for bit its
     own call's. The products of all k are alive at once.
     """
-    k, _, n = projectors.shape[:3]
+    n = projectors.shape[2]
     er = matrix_exp(r)
     factors = np.matmul(projectors.astype(np.complex128), matrix_exp(r / count)[:, np.newaxis])
-    _, prods = tuple_factor_products(factors, count)
-    # a contiguous row sums in the order a lone case's norms do
-    sums = np.ascontiguousarray(batched_operator_norms(prods.reshape(-1, n, n))).reshape(k, -1).sum(axis=1)
+    prods = tuple_factor_products(factors, count)
     gaps = batched_operator_norms(np.add.reduce(prods, axis=1) - er)
-    return sums, n * batched_operator_norms(er), gaps
+    return _tuple_norm_sums(prods), n * batched_operator_norms(er), gaps
 
 
 def total_variation_bound(n: int, b) -> float:

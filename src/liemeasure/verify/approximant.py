@@ -38,7 +38,7 @@ def _builder_draw(max_dim, min_gap, steps):
 
 def lemma_dp_vs_bruteforce(rng, trials, max_dim, min_gap=0.0):
     def both(decs, steps, cfg):
-        return zip(_torus_measures(decs, steps, cfg), _bruteforce_measures(decs, steps, cfg, norm_sums=False))
+        return zip(_torus_measures(decs, steps, cfg), _bruteforce_measures(decs, steps, cfg))
 
     def margin(i, dec, measures):
         m_dp, m_bf = measures

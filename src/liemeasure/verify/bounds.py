@@ -3,7 +3,8 @@
 import numpy as np
 
 from .. import sampling
-from ..approximant import _SLAB_BYTES, _bruteforce_measures
+from ..approximant import _SLAB_BYTES, _bruteforce_measures, _tuple_products
+from ..linalg import _tuple_norm_sums
 from ..measure import total_variation
 from ..norms import _partition_products, total_variation_bound
 from .harness import Build, as_payload, build_lemma, built_margins, run_trials, stack, tuple_bytes
@@ -58,8 +59,12 @@ def lemma_tuple_norm_regrouping(rng, trials, max_dim, min_gap=0.0):
         b = sampling.random_matrix(rng, n, scale=float(rng.uniform(0.1, 1.5)))
         return Build(a, b, int(rng.integers(1, 6)))
 
-    def margin(i, dec, m):
-        return m.tuple_norm_sum + 1e-10 - total_variation(m)
+    def regrouped(decs, steps, cfg):
+        return zip(_bruteforce_measures(decs, steps, cfg), _tuple_norm_sums(_tuple_products(decs, steps, cfg.N)))
+
+    def margin(i, dec, built):
+        m, norm_sum = built
+        return norm_sum + 1e-10 - total_variation(m)
 
     return build_lemma("tuple-norm-regrouping", rng, trials, draw,
-                       lambda cases: built_margins(cases, margin, tuple_bytes, _bruteforce_measures))
+                       lambda cases: built_margins(cases, margin, tuple_bytes, regrouped))

@@ -121,8 +121,8 @@ def torus_bytes(l: int, n_steps: int, n: int) -> int:
 def tuple_bytes(l: int, n_steps: int, n: int) -> int:
     """Predicted peak bytes of one brute-force build or tuple_factor_products call.
 
-    Its last two levels of prefix products, its index table and a few int64
-    numbers per tuple, as linalg._tuple_peak_bytes counts them.
+    Its last two levels of prefix products and a few int64 numbers per
+    tuple, as linalg._tuple_peak_bytes counts them.
     """
     return _tuple_peak_bytes(l**n_steps, n_steps, n)
 

@@ -1,5 +1,6 @@
 """Measure construction for the product approximants, DP against brute force."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,8 @@ from hypothesis import strategies as st
 
 from liemeasure.approximant import (
     ApproximantConfig,
-    _bruteforce_measures,
     _group_compositions,
     _merge_starts,
-    _prepare,
     build_measure_bruteforce,
     build_measure_dp,
     commuting_case_measure,
@@ -140,11 +139,11 @@ def test_dp_matches_bruteforce(rng):
         assert len(m_dp) == len(m_bf)
         assert np.abs(m_dp.locations - m_bf.locations).max() <= 1e-12
         assert np.abs(m_dp.weights - m_bf.weights).max() <= 1e-10
-        assert m_bf.tuple_norm_sum is not None and m_dp.tuple_norm_sum is None
 
 
-def _unique_count_rows(idx, l):
-    """The grouping the coded one replaces: np.unique over the tuples' (K, l) count rows."""
+def _unique_count_rows(l, n_steps):
+    """The grouping the coded one replaces: np.unique over the (l**n_steps, l) count rows of every tuple."""
+    idx = np.array(list(itertools.product(range(l), repeat=n_steps)))
     counts = np.stack([(idx == j).sum(axis=1) for j in range(l)], axis=1)
     rows, inverse = np.unique(counts, axis=0, return_inverse=True)
     return rows, inverse.reshape(-1)
@@ -153,25 +152,25 @@ def _unique_count_rows(idx, l):
 # codes below 2**63 are int64, so (64, 1) is; (65, 1) and (70, 2) need Python-int codes
 @pytest.mark.parametrize("l, n_steps", [(1, 1), (1, 70), (2, 1), (2, 9), (3, 6), (4, 5), (64, 1), (65, 1), (70, 2)])
 def test_coded_grouping_matches_unique_count_rows(l, n_steps):
-    rng = np.random.default_rng(100 * l + n_steps)
-    idx = rng.integers(0, l, size=(min(l**n_steps, 2000), n_steps)).astype(np.int32)
-    idx[0] = 0  # the largest code: every step in cluster 0
-    rows, inverse = _group_compositions(idx, l, n_steps)
-    want_rows, want_inverse = _unique_count_rows(idx, l)
+    rows, inverse = _group_compositions(l, n_steps)
+    want_rows, want_inverse = _unique_count_rows(l, n_steps)
     assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
     assert inverse.tobytes() == want_inverse.astype(inverse.dtype).tobytes()
 
 
-def test_bruteforce_without_norm_sums_keeps_the_measures_bits(rng):
-    a = np.stack([hermitian_with_spectrum(rng, [-1.0, 0.2, 0.9]) for _ in range(3)])
-    b = np.stack([random_matrix(rng, 3) for _ in range(3)])
-    cfg = ApproximantConfig(N=5)
-    decs, steps = _prepare(a, b, cfg)
-    for got, want in zip(_bruteforce_measures(decs, steps, cfg, norm_sums=False),
-                         _bruteforce_measures(decs, steps, cfg)):
-        assert got.tuple_norm_sum is None and want.tuple_norm_sum is not None
-        assert got.locations.tobytes() == want.locations.tobytes()
-        assert got.weights.tobytes() == want.weights.tobytes()
+def test_bruteforce_forms_no_svd_past_the_hermitian_check(rng, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    a = hermitian_with_spectrum(rng, [-1.0, 0.2, 0.9])
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    build_measure_bruteforce(a, random_matrix(rng, 3), ApproximantConfig(N=6))
+    # both are the Hermitian check of a in its decomposition: ||a - a*|| and ||a||
+    assert calls == [(1, 3, 3), (1, 3, 3)]
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -175,10 +175,10 @@ def test_is_psd():
 def test_tuple_factor_products_enumeration_order():
     f0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     f1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    idx, prods = tuple_factor_products(np.stack([f0, f1]), 3)
-    assert idx.shape == (8, 3) and prods.shape == (8, 2, 2)
+    prods = tuple_factor_products(np.stack([f0, f1]), 3)
+    assert prods.shape == (8, 2, 2)
     # lexicographic: (0,0,0), (0,0,1), ..., (1,1,1)
-    assert idx.tolist() == [
+    idx = [
         [0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1],
         [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1],
     ]
@@ -197,12 +197,11 @@ def test_prefix_products_equal_a_left_to_right_reduce_bit_for_bit(l, count, n, s
     rng = np.random.default_rng(draw)
     sets = 3 if stacked else 1
     factors = rng.standard_normal((sets, l, n, n)) + 1j * rng.standard_normal((sets, l, n, n))
-    idx, prods = tuple_factor_products(factors if stacked else factors[0], count)
+    prods = tuple_factor_products(factors if stacked else factors[0], count)
     assert prods.shape == ((sets,) if stacked else ()) + (l**count, n, n)
-    want_idx = np.array(list(itertools.product(range(l), repeat=count)), dtype=np.int32)
-    assert idx.dtype == np.int32 and idx.tobytes() == want_idx.tobytes()
+    idx = list(itertools.product(range(l), repeat=count))
     for f, got in zip(factors, prods if stacked else prods[np.newaxis]):
-        want = np.stack([functools.reduce(np.matmul, f[row]) for row in idx])
+        want = np.stack([functools.reduce(np.matmul, f[list(row)]) for row in idx])
         assert got.tobytes() == want.tobytes()
     # the products are the function's own: writing to them leaves the factors be
     before = factors.copy()
@@ -212,9 +211,9 @@ def test_prefix_products_equal_a_left_to_right_reduce_bit_for_bit(l, count, n, s
 
 def test_tuple_factor_products_guard():
     f = np.stack([np.eye(2, dtype=complex)] * 3)
-    # 3**20 tuples of 2x2 products: 4*20 index bytes and three int64 numbers per tuple,
-    # plus the last two levels of 64-byte products, 3**20 and 3**19 of them
-    need = 3**20 * (4 * 20 + 24) + 64 * (3**20 + 3**19)
+    # 3**20 tuples of 2x2 products: three int64 numbers per tuple, plus the
+    # last two levels of 64-byte products, 3**20 and 3**19 of them
+    need = 3**20 * 24 + 64 * (3**20 + 3**19)
     with pytest.raises(
         ResourceLimitError,
         match=rf"^index tuples: 3\*\*20 would need {need} bytes, over the budget of 2147483648 bytes$",

@@ -200,6 +200,20 @@ def test_measure_json_round_trip(rng):
     assert back.N == 7
 
 
+def test_measure_to_json_round_trip_takes_the_packed_path(rng, monkeypatch):
+    locs = np.sort(rng.uniform(-1, 1, 40))
+    weights = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    m = DiscreteMatrixMeasure(locs, weights, N=3)
+
+    def unpacked(atoms, n):
+        raise AssertionError("an atom was left unpacked")
+
+    monkeypatch.setattr(measure_module, "_atom_rows_one_by_one", unpacked)
+    back = measure_from_json(measure_to_json(m))
+    assert back.locations.tobytes() == m.locations.tobytes()
+    assert back.weights.tobytes() == m.weights.tobytes()
+
+
 def test_measure_json_null_step_count():
     m = DiscreteMatrixMeasure(np.array([0.5]), np.eye(2, dtype=complex)[np.newaxis])
     obj = measure_to_json(m)

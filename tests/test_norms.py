@@ -132,7 +132,7 @@ def test_partition_product_bound_is_the_stacked_core_bit_for_bit(rng, n, parts, 
         assert partition_product_bound(p, x, count) == (float(s), float(bound))
         # the gap telescopes the products of this case alone
         factors = p.astype(complex) @ matrix_exp(x / count)
-        _, prods = tuple_factor_products(factors, count)
+        prods = tuple_factor_products(factors, count)
         assert gap == operator_norm(prods.sum(axis=0) - matrix_exp(x))
         assert gap <= 1e-9 and s <= bound + 1e-8
 

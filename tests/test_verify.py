@@ -24,6 +24,7 @@ from liemeasure.linalg import (
     BYTE_BUDGET,
     ResourceLimitError,
     _hermitian_stack,
+    _tuple_norm_sums,
     _tuple_peak_bytes,
     canonical_json,
     tuple_factor_products,
@@ -153,7 +154,6 @@ def _instances(rng, count):
 def _same_measure(got, want):
     assert got.locations.tobytes() == want.locations.tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
-    assert got.tuple_norm_sum == want.tuple_norm_sum
     assert (got.N, got.source) == (want.N, want.source)
 
 
@@ -197,11 +197,13 @@ def test_stacked_lie_approximants_equal_single_calls_bit_for_bit(rng, t):
 
 def test_stacked_tuple_products_equal_single_calls_bit_for_bit(rng):
     factors = np.stack([np.stack([random_matrix(rng, 3) for _ in range(2)]) for _ in range(4)])
-    idx, prods = tuple_factor_products(factors, 5)
+    prods = tuple_factor_products(factors, 5)
     assert prods.shape == (4, 32, 3, 3)
-    for f, got in zip(factors, prods):
-        want_idx, want = tuple_factor_products(f, 5)
-        assert idx.tobytes() == want_idx.tobytes() and got.tobytes() == want.tobytes()
+    sums = _tuple_norm_sums(prods)
+    for f, got, got_sum in zip(factors, prods, sums):
+        want = tuple_factor_products(f, 5)
+        assert got.tobytes() == want.tobytes()
+        assert got_sum.tobytes() == _tuple_norm_sums(want[np.newaxis])[0].tobytes()
 
 
 @pytest.mark.parametrize("stacked", ["torus", "tuples"])
