@@ -273,7 +273,7 @@ def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> lis
 
     Each measure is bit for bit its own call's. The products of all k are
     alive at once, beside a few int64 numbers per tuple, so the peak is
-    linalg._tuple_peak_bytes(l**N, N, n, k) and callers stack about
+    linalg._tuple_peak_bytes(l, N, n, k) and callers stack about
     _slab_block(l**N, n)[0] instances.
     """
     k, n = steps.shape[:2]
@@ -304,8 +304,9 @@ def _slab_block(count: int, n: int) -> tuple[int, int]:
     return max(1, slab // count), min(count, slab)
 
 
-def _torus_peak_bytes(points: int, n_steps: int, l: int, n: int, k: int = 1) -> int:
-    """Predicted peak bytes of the torus builder for k instances on (n_steps+1)**(l-1)-point grids."""
+def _torus_peak_bytes(l: int, n_steps: int, n: int, k: int = 1) -> int:
+    """Predicted peak bytes of the torus builder for k instances of l clusters, n_steps and dimension n."""
+    points = (n_steps + 1) ** (l - 1)
     atoms = math.comb(n_steps + l - 1, l - 1)
     # the grids, the outputs, the slabs alive inside one matrix_power, and each
     # output atom's location and grid cell
@@ -343,7 +344,7 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
     k, n = steps.shape[:2]
     l, big_n = len(decs[0]), cfg.N
     points = guarded_count("torus grid points", big_n + 1, l - 1,
-                           peak_bytes=lambda p: _torus_peak_bytes(p, big_n, l, n, k))
+                           peak_bytes=lambda _: _torus_peak_bytes(l, big_n, n, k))
     vecs = np.stack([d.vectors for d in decs])
     adj = vecs.conj().swapaxes(1, 2)
     labels = np.stack([d.labels for d in decs])
@@ -355,7 +356,8 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
     grid = np.empty((k,) + (big_n + 1,) * (l - 1) + (n, n), dtype=np.complex128)
     flat = grid.reshape(k, points, n, n)
     rotated_step = adj @ steps @ vecs
-    roots = np.exp(-2j * np.pi * np.arange(big_n + 1) / (big_n + 1))
+    # one root per index of a grid axis; a one-cluster grid has no axes and reads z = 1 alone
+    roots = np.exp(-2j * np.pi * np.arange(big_n + 1 if l > 1 else 1) / (big_n + 1))
     per, width = _slab_block(points, n)
     for i in range(0, k, per):
         for start in range(0, points, width):

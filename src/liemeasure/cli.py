@@ -133,29 +133,23 @@ def cmd_measure(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    if bool(args.a) != bool(args.b):
+        raise _UsageError("transform: give both --a and --b, or neither")
     grid = parse_t_grid(args.tgrid) if args.tgrid else default_t_grid()
     m = read_measure(args.measure)
-    a = read_matrix(args.a) if args.a else None
-    b = read_matrix(args.b) if args.b else None
-    if a is not None and b is not None:
-        a, b = as_matrix_pair(a, b)
+    if args.a:
+        a, b = as_matrix_pair(read_matrix(args.a), read_matrix(args.b))
         if a.shape[0] != m.dim:
             raise ValueError(f"the measure is {m.dim}x{m.dim} but a and b are {a.shape[0]}x{a.shape[0]}")
     values = laplace_transform(m, grid)
-    if a is not None and b is not None and m.N is not None:
-        err_ln = batched_operator_norms(values - lie_approximant(a, b, grid, m.N))
-    else:
-        err_ln = np.full(grid.size, math.nan)
-    if a is not None and b is not None:
+    err_ln = err_truth = np.full(grid.size, math.nan)
+    if args.a:
+        if m.N is not None:
+            err_ln = batched_operator_norms(values - lie_approximant(a, b, grid, m.N))
         err_truth = batched_operator_norms(values - truth_exponential(a, b, grid))
-    else:
-        err_truth = np.full(grid.size, math.nan)
     buf = io.StringIO()
     buf.write("t_re,t_im,err_vs_LN,err_vs_truth\n")
-    for t, e_ln, e_truth in zip(grid, err_ln, err_truth):
-        buf.write(
-            f"{_fmt(t.real)},{_fmt(t.imag)},{_fmt(e_ln)},{_fmt(e_truth)}\n"
-        )
+    _write_rows(buf, "%.17g,%.17g,%.17g,%.17g\n", [np.stack([grid.real, grid.imag, err_ln, err_truth], axis=1)])
     _write_text(args.out, buf.getvalue())
     return 0
 
@@ -275,8 +269,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("transform", help="evaluate the transform of a stored measure")
     p.add_argument("--measure", required=True, help="measure JSON file")
-    p.add_argument("--a", help="matrix JSON file, enables error columns")
-    p.add_argument("--b", help="matrix JSON file, enables error columns")
+    p.add_argument("--a", help="Hermitian matrix JSON file; with --b, enables error columns")
+    p.add_argument("--b", help="matrix JSON file; with --a, enables error columns")
     p.add_argument("--tgrid", help="start:stop:step[+ci], default -1:1:0.1+1i")
     p.add_argument("--out", help="CSV output path, default stdout")
     p.set_defaults(func=cmd_transform)

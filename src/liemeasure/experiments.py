@@ -9,7 +9,7 @@ derivative of e^(ta+b) at t = 0, has negative determinant, while the traced
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +25,7 @@ from .linalg import (
     require_hermitian,
 )
 from .measure import (
+    _write_rows,
     hermitian_deviation,
     laplace_transform,
     moment,
@@ -183,7 +184,7 @@ def convergence_study(
     paired = {n for n in sched if 2 * n in sched}
     paired |= {2 * n for n in paired}
     transforms: dict[int, np.ndarray] = {}
-    raw = []
+    points = []
     for n_steps in sched:
         cfg = ApproximantConfig(
             N=n_steps, cluster_tol=cluster_tol, merge_tol=merge_tol
@@ -192,31 +193,18 @@ def convergence_study(
         err = float(batched_operator_norms(lie_approximant(ah, bm, grid, n_steps) - truths).max())
         moments = np.stack([moment(m, k) for k in range(3)])
         mom_err = [float(e) for e in batched_operator_norms(moments - d_truth)]
-        raw.append(
-            dict(
-                N=n_steps,
-                max_transform_err=err,
-                total_variation=total_variation(m),
-                hermitian_dev=hermitian_deviation(m),
-                moment0_err=mom_err[0],
-                moment1_err=mom_err[1],
-                moment2_err=mom_err[2],
-            )
-        )
+        points.append(ConvergencePoint(n_steps, err, total_variation(m), hermitian_deviation(m), *mom_err))
         if n_steps in paired:
             transforms[n_steps] = laplace_transform(m, grid)
         del m  # before the next build
 
-    points = []
-    for entry in raw:
-        twice = 2 * entry["N"]
-        # transform_distance of M_N and M_2N, from their transforms on the grid
-        cauchy = (
-            float(batched_operator_norms(transforms[entry["N"]] - transforms[twice]).max())
-            if twice in transforms
-            else None
-        )
-        points.append(ConvergencePoint(cauchy_distance=cauchy, **entry))
+    # transform_distance of M_N and M_2N, from their transforms on the grid
+    points = [
+        replace(p, cauchy_distance=float(batched_operator_norms(transforms[p.N] - transforms[2 * p.N]).max()))
+        if 2 * p.N in transforms
+        else p
+        for p in points
+    ]
 
     errs = np.array([max(p.max_transform_err, 1e-300) for p in points])
     if len(sched) >= 2:
@@ -377,48 +365,22 @@ def counterexample_demo(n_schedule=None) -> CounterexampleResult:
 # report serialization
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = "N,max_transform_err,total_variation,hermitian_dev,moment0_err,moment1_err,moment2_err"
-
-
 def write_convergence_csv(path, report: ConvergenceReport) -> None:
-    lines = [_CSV_HEADER]
-    for p in report.points:
-        lines.append(
-            ",".join(
-                [str(p.N)]
-                + [
-                    f"{v:.17g}"
-                    for v in (
-                        p.max_transform_err,
-                        p.total_variation,
-                        p.hermitian_dev,
-                        p.moment0_err,
-                        p.moment1_err,
-                        p.moment2_err,
-                    )
-                ]
-            )
-        )
+    """The report's points as CSV, one row per N, with every field of ConvergencePoint but cauchy_distance.
+
+    N is written as the exact integer, every other column at 17 significant digits.
+    """
+    names = [f.name for f in fields(ConvergencePoint)][:-1]  # the last, cauchy_distance, may be None
+    rows = np.array([astuple(p)[:-1] for p in report.points], dtype=object).reshape(-1, len(names))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(names) + "\n")
+        _write_rows(fh, "%d" + ",%.17g" * (len(names) - 1) + "\n", [rows])
 
 
 def convergence_report_to_json(report: ConvergenceReport) -> dict:
     return {
         "n_schedule": list(report.n_schedule),
-        "points": [
-            {
-                "N": p.N,
-                "max_transform_err": p.max_transform_err,
-                "total_variation": p.total_variation,
-                "hermitian_dev": p.hermitian_dev,
-                "moment0_err": p.moment0_err,
-                "moment1_err": p.moment1_err,
-                "moment2_err": p.moment2_err,
-                "cauchy_distance": p.cauchy_distance,
-            }
-            for p in report.points
-        ],
+        "points": [asdict(p) for p in report.points],
         "rate_estimate": report.rate_estimate,
     }
 

@@ -154,13 +154,13 @@ def batched_operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w, compute_uv=False)[:, 0]
 
 
-def _tuple_peak_bytes(total: int, count: int, n: int, k: int = 1) -> int:
-    """Predicted peak bytes of tuple_factor_products: total tuples of count (n, n) factors, k times.
+def _tuple_peak_bytes(l: int, count: int, n: int, k: int = 1) -> int:
+    """Predicted peak bytes of tuple_factor_products: the l**count tuples of count (n, n) factors, k times.
 
     Also the brute-force builder's peak: it holds the products and int64
     numbers per tuple (composition codes, their group, their target).
     """
-    l = round(total ** (1 / count))  # total is l**count
+    total = l**count
     # three int64 numbers per tuple, and the last two levels of (k, l**p, n, n) prefix products
     return 24 * total + 16 * k * n * n * (total + total // l)
 
@@ -186,7 +186,7 @@ def tuple_factor_products(factors, count: int) -> np.ndarray:
     if not stacked:
         f = f[np.newaxis]
     k, l, n = f.shape[:3]
-    guarded_count("index tuples", l, count, peak_bytes=lambda t: _tuple_peak_bytes(t, count, n, k))
+    guarded_count("index tuples", l, count, peak_bytes=lambda _: _tuple_peak_bytes(l, count, n, k))
     # level p holds the l**p products of the tuples' first p factors; a prefix's
     # l children follow it in lexicographic order
     prods = f.copy()
@@ -314,18 +314,29 @@ def _load_json(path, object_hook=None):
 
     object_hook, if given, is json's: it gets each object as the parser closes it.
     Nesting too deep for the parser raises ValueError naming the file.
-    The parsed tree holds no reference cycles, so the garbage collector is paused
-    while it is built: its passes would scan every new list and free nothing.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with _GcPaused(), open(path, "r", encoding="ascii") as fh:
             return json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s), object_hook=object_hook)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
-    finally:
-        if was_enabled:
+
+
+class _GcPaused:
+    """Pause the garbage collector while a tree of containers without reference cycles is built.
+
+    Its passes would scan every new list and dict and free nothing. The
+    collector's state on entry is restored as the last step of the exit: an
+    allocation after it, such as the StopIteration of a generator-based context
+    manager, would start a collection before the paused function returns.
+    """
+
+    def __enter__(self):
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.was_enabled:
             gc.enable()
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     LATTICE_LIMIT,
+    _GcPaused,
     _is_real,
     _load_json,
     _real_array,
@@ -213,12 +214,14 @@ def measure_to_json(m: DiscreteMatrixMeasure) -> dict:
     """Schema: {"n": int, "N": int|null, "atoms": [{"lambda": float, "weight": {"re", "im"}}]}.
 
     Floats in nested lists, as json.load gives them, so measure_from_json packs every atom.
+    The tree holds no reference cycles, so it is built with the garbage collector paused.
     """
-    atoms = [
-        {"lambda": l, "weight": {"re": re, "im": im}}
-        for l, re, im in zip(m.locations.tolist(), m.weights.real.tolist(), m.weights.imag.tolist())
-    ]
-    return {"n": m.dim, "N": None if m.N is None else int(m.N), "atoms": atoms}
+    with _GcPaused():
+        atoms = [
+            {"lambda": l, "weight": {"re": re, "im": im}}
+            for l, re, im in zip(m.locations.tolist(), m.weights.real.tolist(), m.weights.imag.tolist())
+        ]
+        return {"n": m.dim, "N": None if m.N is None else int(m.N), "atoms": atoms}
 
 
 def measure_from_json(obj) -> DiscreteMatrixMeasure:
@@ -337,12 +340,13 @@ def read_measure(path) -> DiscreteMatrixMeasure:
 
 
 def _write_rows(fh, row: str, columns, sep: str = "") -> None:
-    """Write `row` (one %.17g per column) filled for every row of the columns, rows joined by sep.
+    """Write `row` (one %-conversion per column) filled for every row of the columns, rows joined by sep.
 
-    columns are (K, w) blocks that sit side by side. Each chunk of at most
-    _CHUNK_NUMBERS numbers is copied into one small array and formatted in one
-    % operation. '%.17g' % x and format(x, '.17g') are the same conversion, so
-    the text matches canonical_json's number for number.
+    columns are (K, w) blocks that sit side by side; an object block keeps
+    Python ints exact for a %d. Each chunk of at most _CHUNK_NUMBERS numbers is
+    copied into one small array and formatted in one % operation.
+    '%.17g' % x and format(x, '.17g') are the same conversion, nan and -0
+    included, so the text matches canonical_json's number for number.
     """
     count = len(columns[0])
     step = max(1, _CHUNK_NUMBERS // sum(c.shape[1] for c in columns))

@@ -8,11 +8,12 @@ from ..approximant import (
     _commuting_measure,
     _lie_approximants,
     _torus_measures,
+    _torus_peak_bytes,
     n_convex_hull,
 )
-from ..linalg import _hermitian_stack, batched_operator_norms, matrix_exp, operator_norm
+from ..linalg import _hermitian_stack, _tuple_peak_bytes, batched_operator_norms, matrix_exp, operator_norm
 from ..measure import laplace_transform, moment
-from .harness import Build, build_lemma, built_margins, stack, torus_bytes, tuple_bytes
+from .harness import Build, build_lemma, built_margins, stack
 
 
 def _random_builder_instance(rng, max_dim, min_gap):
@@ -49,7 +50,7 @@ def lemma_dp_vs_bruteforce(rng, trials, max_dim, min_gap=0.0):
         return min(1e-12 - loc_gap, 1e-10 - w_gap)
 
     def peak(l, n_steps, n):
-        return torus_bytes(l, n_steps, n) + tuple_bytes(l, n_steps, n)
+        return _torus_peak_bytes(l, n_steps, n) + _tuple_peak_bytes(l, n_steps, n)
 
     draw = _builder_draw(max_dim, min_gap, lambda rng: int(rng.integers(1, 7)))
     return build_lemma("dp-vs-bruteforce", rng, trials, draw,

@@ -4,10 +4,10 @@ import numpy as np
 
 from .. import sampling
 from ..approximant import _SLAB_BYTES, _bruteforce_measures, _tuple_products
-from ..linalg import _tuple_norm_sums
+from ..linalg import _tuple_norm_sums, _tuple_peak_bytes
 from ..measure import total_variation
 from ..norms import _partition_products, total_variation_bound
-from .harness import Build, as_payload, build_lemma, built_margins, run_trials, stack, tuple_bytes
+from .harness import Build, as_payload, build_lemma, built_margins, run_trials, stack
 
 
 def lemma_tv_bound(rng, trials, max_dim, min_gap=0.0):
@@ -40,7 +40,7 @@ def lemma_partition_product_bound(rng, trials, max_dim, min_gap=0.0):
         n_steps = cases[0][2]
         k, l, n = projectors.shape[:3]
         out = np.empty(k)
-        per = max(1, _SLAB_BYTES // tuple_bytes(l, n_steps, n))
+        per = max(1, _SLAB_BYTES // _tuple_peak_bytes(l, n_steps, n))
         for start in range(0, k, per):
             part = slice(start, start + per)
             sums, bounds, gaps = _partition_products(projectors[part], r[part], n_steps)
@@ -67,4 +67,4 @@ def lemma_tuple_norm_regrouping(rng, trials, max_dim, min_gap=0.0):
         return norm_sum + 1e-10 - total_variation(m)
 
     return build_lemma("tuple-norm-regrouping", rng, trials, draw,
-                       lambda cases: built_margins(cases, margin, tuple_bytes, regrouped))
+                       lambda cases: built_margins(cases, margin, _tuple_peak_bytes, regrouped))

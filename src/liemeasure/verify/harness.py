@@ -22,7 +22,7 @@ from ..approximant import (
     _torus_measures,
     _torus_peak_bytes,
 )
-from ..linalg import _tuple_peak_bytes, matrix_to_json
+from ..linalg import matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,6 @@ def build_lemma(name: str, rng, trials: int, draw, margins_of) -> LemmaResult:
                       lambda c: as_payload(a=c.a, b=c.b, N=c.N))
 
 
-def torus_bytes(l: int, n_steps: int, n: int) -> int:
-    return _torus_peak_bytes((n_steps + 1) ** (l - 1), n_steps, l, n)
-
-
-def tuple_bytes(l: int, n_steps: int, n: int) -> int:
-    """Predicted peak bytes of one brute-force build or tuple_factor_products call.
-
-    Its last two levels of prefix products and a few int64 numbers per
-    tuple, as linalg._tuple_peak_bytes counts them.
-    """
-    return _tuple_peak_bytes(l**n_steps, n_steps, n)
-
-
 def blocks(cases: list[Build], peak_bytes):
     """(positions, decompositions, steps, config) of builds that share n and N, block by block.
 
@@ -145,7 +132,7 @@ def blocks(cases: list[Build], peak_bytes):
             yield part, [decs[i] for i in part], steps[part], cfg
 
 
-def built_margins(cases: list[Build], margin, peak_bytes=torus_bytes, core=_torus_measures) -> np.ndarray:
+def built_margins(cases: list[Build], margin, peak_bytes=_torus_peak_bytes, core=_torus_measures) -> np.ndarray:
     """margin(i, decomposition, measure) of every case i, through a stacked builder core.
 
     A block's measures are freed before the next block is built.

@@ -75,6 +75,16 @@ def test_measure_reports_an_overflowing_tv_bound_as_inf(tmp_path, capsys):
     assert len(read_measure(out)) == 9
 
 
+def test_measure_builds_a_one_cluster_pair_at_any_step_count(tmp_path, capsys):
+    a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+    write_matrix(a_path, 0.5 * np.eye(3))
+    write_matrix(b_path, np.full((3, 3), 0.1))
+    assert main(["measure", "--a", str(a_path), "--b", str(b_path), "--steps", str(10**12), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("atoms=1 support=[0.5,0.5] ") and captured.err == ""
+    assert read_measure(out).N == 10**12
+
+
 def test_measure_command_brute_matches_dp(tmp_path, pair_files):
     a_path, b_path = pair_files
     out_dp = str(tmp_path / "dp.json")
@@ -177,7 +187,7 @@ def test_dp_byte_budget_exits_3_naming_the_count_and_the_bytes(tmp_path, capsys,
     # refused before the grid is allocated: the matrices and the decomposition peak at 73 KB
     assert peak < 150 * 2**10
     assert "Traceback" not in err
-    need = _torus_peak_bytes(2001**2, 2000, 3, 8)
+    need = _torus_peak_bytes(3, 2000, 8)
     assert err == (
         f"resource limit: torus grid points: 2001**2 would need {need} bytes,"
         f" over the budget of {BYTE_BUDGET} bytes\n"
@@ -243,6 +253,17 @@ def test_transform_without_matrices_gives_nan_columns(tmp_path, pair_files, caps
     assert main(["transform", "--measure", out, "--tgrid=0:1:1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split(",")[2] == "nan" and lines[1].split(",")[3] == "nan"
+
+
+@pytest.mark.parametrize("given", ["--a", "--b"])
+def test_transform_with_one_matrix_is_a_usage_error(tmp_path, pair_files, capsys, given):
+    # refused before any file is read: the measure does not exist
+    path = pair_files[0] if given == "--a" else pair_files[1]
+    out = tmp_path / "t.csv"
+    assert main(["transform", "--measure", str(tmp_path / "none.json"), given, path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--a" in err and "--b" in err
+    assert not out.exists()
 
 
 def test_transform_is_deterministic(tmp_path, pair_files, capsys):

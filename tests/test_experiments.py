@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.linalg
 from liemeasure.approximant import ApproximantConfig, build_measure_dp
 from liemeasure.experiments import (
     COUNTEREXAMPLE_SCHEDULE,
+    ConvergencePoint,
     check_counterexample_closed_forms,
     convergence_report_to_json,
     convergence_study,
@@ -222,6 +224,9 @@ def test_write_convergence_csv(tmp_path, signed_limit_pair):
     )
     assert len(lines) == 3
     assert lines[1].startswith("4,") and lines[2].startswith("8,")
+    # the point's fields are the columns, but for the Cauchy distance, which may be None
+    names = [f.name for f in fields(ConvergencePoint)]
+    assert lines[0].split(",") == names[:-1] and names[-1] == "cauchy_distance"
 
 
 def test_convergence_json_round_trip(tmp_path, signed_limit_pair):
@@ -234,6 +239,17 @@ def test_convergence_json_round_trip(tmp_path, signed_limit_pair):
     assert [p["N"] for p in obj["points"]] == [4, 8]
     assert "rate_estimate" in obj
     assert "cauchy_distance" in obj["points"][0]
+    assert all(list(p) == [f.name for f in fields(ConvergencePoint)] for p in obj["points"])
+
+
+def test_the_report_writes_a_step_count_float64_cannot_hold(tmp_path):
+    # a one-cluster pair builds at any N; 2**53 + 1 would print as ...992 through a float
+    a, b = 0.5 * np.eye(2), np.array([[0.1, 0.2], [0.0, -0.3]])
+    report = convergence_study(a, b, (4, 2**53 + 1))
+    write_convergence_csv(tmp_path / "conv.csv", report)
+    assert (tmp_path / "conv.csv").read_text().splitlines()[2].startswith("9007199254740993,")
+    write_convergence_json(tmp_path / "conv.json", report)
+    assert json.loads((tmp_path / "conv.json").read_text())["points"][1]["N"] == 2**53 + 1
 
 
 def test_moment_convergence_and_measure_agree(signed_limit_pair):

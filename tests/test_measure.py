@@ -1,5 +1,6 @@
 """Discrete matrix measures: evaluation, statistics, and serialization."""
 
+import gc
 import json
 import math
 import re
@@ -212,6 +213,30 @@ def test_measure_to_json_round_trip_takes_the_packed_path(rng, monkeypatch):
     back = measure_from_json(measure_to_json(m))
     assert back.locations.tobytes() == m.locations.tobytes()
     assert back.weights.tobytes() == m.weights.tobytes()
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_measure_to_json_pauses_the_collector_and_restores_it(rng, caller_enabled):
+    # ten containers an atom, none in a cycle: unpaused, the collector would run dozens of times
+    m = DiscreteMatrixMeasure(np.arange(2000.0), rng.normal(size=(2000, 3, 3)).astype(complex))
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info)
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        gc.callbacks.append(hook)
+        try:
+            obj = measure_to_json(m)
+        finally:
+            gc.callbacks.remove(hook)
+        assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert starts == [] and len(obj["atoms"]) == 2000
 
 
 def test_measure_json_null_step_count():

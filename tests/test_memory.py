@@ -101,7 +101,7 @@ def test_measure_keeps_the_builders_array_read_only(rng):
 def test_torus_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
     a, b = _pair(rng, n, l)
     _, peak = traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=n_steps)))
-    predicted = approximant._torus_peak_bytes((n_steps + 1) ** (l - 1), n_steps, l, n)
+    predicted = approximant._torus_peak_bytes(l, n_steps, n)
     assert peak <= predicted <= 2 * peak
 
 
@@ -109,7 +109,7 @@ def test_torus_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
 def test_bruteforce_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
     a, b = _pair(rng, n, l)
     _, peak = traced_peak(lambda: build_measure_bruteforce(a, b, ApproximantConfig(N=n_steps)))
-    predicted = _tuple_peak_bytes(l**n_steps, n_steps, n)
+    predicted = _tuple_peak_bytes(l, n_steps, n)
     assert peak <= predicted <= 2 * peak
 
 
@@ -120,7 +120,15 @@ def test_convergence_study_peaks_at_its_largest_build(rng, traced_peak):
     schedule = tuple(16 * 2**i for i in range(8))
     report, peak = traced_peak(lambda: convergence_study(a, b, schedule))
     assert [p.N for p in report.points] == list(schedule)
-    assert peak <= approximant._torus_peak_bytes(2049, 2048, 2, 8)
+    assert peak <= approximant._torus_peak_bytes(2, 2048, 8)
+
+
+def test_a_one_cluster_build_stays_small_at_any_step_count(rng, traced_peak):
+    # one cluster: a one-point grid and one atom, and no table sized by N
+    a, b = 0.5 * np.eye(3), random_matrix(rng, 3)
+    m, peak = traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=10**12)))
+    assert len(m) == 1 and m.locations.tolist() == [0.5]
+    assert peak < 64 * 2**10
 
 
 @pytest.mark.parametrize("total, parts", [(2000, 3), (100, 4), (40, 5), (10**5, 2)])

@@ -214,12 +214,12 @@ def test_stacked_builds_are_refused_before_allocating(rng, traced_peak, stacked)
         b = np.stack([random_matrix(rng, 3) for _ in range(3)])
         cfg = ApproximantConfig(N=2000)
         decs, steps = _prepare(a, b, cfg)
-        one = approximant._torus_peak_bytes(2001**2, 2000, 3, 3)
+        one = approximant._torus_peak_bytes(3, 2000, 3)
         call = lambda: _torus_measures(decs, steps, cfg)
         message = r"^torus grid points: 2001\*\*2 would need \d+ bytes, over the budget"
     else:
         factors = np.stack([np.stack([np.eye(2, dtype=complex)] * 2)] * 3)
-        one = _tuple_peak_bytes(2**23, 23, 2)
+        one = _tuple_peak_bytes(2, 23, 2)
         call = lambda: tuple_factor_products(factors, 23)
         message = r"^index tuples: 2\*\*23 would need \d+ bytes, over the budget"
     assert 3 * one > BYTE_BUDGET > one
