@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .approximant import ApproximantConfig, build_measure_bruteforce, build_measure_dp, lie_approximant
+from .approximant import MERGE_TOL, ApproximantConfig, build_measure_bruteforce, build_measure_dp, lie_approximant
 from .experiments import (
     COUNTEREXAMPLE_SCHEDULE,
     DEFAULT_SCHEDULE,
@@ -46,6 +46,7 @@ from .measure import (
     write_trace_csv,
 )
 from .norms import total_variation_bound
+from .spectral import CLUSTER_TOL
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "console_main"]
@@ -85,11 +86,8 @@ def parse_t_grid(spec: str) -> np.ndarray:
 
 
 def parse_schedule(spec: str) -> tuple[int, ...]:
-    items = [s.strip() for s in spec.split(",") if s.strip()]
-    if not items:
-        raise _UsageError("empty schedule")
     try:
-        values = tuple(int(s) for s in items)
+        values = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:
         raise _UsageError(f"bad schedule {spec!r}; expected comma separated integers") from None
     try:
@@ -251,9 +249,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tols(p):
-        p.add_argument("--cluster-tol", type=float, default=1e-8,
+        p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL,
                        help="relative gap below which eigenvalues merge")
-        p.add_argument("--merge-tol", type=float, default=1e-9,
+        p.add_argument("--merge-tol", type=float, default=MERGE_TOL,
                        help="relative gap below which atoms merge")
 
     p = sub.add_parser("measure", help="build the discrete measure for one (A, B, N)")

@@ -14,8 +14,9 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import numpy as np
 import scipy.linalg
 
-from .approximant import ApproximantConfig, build_measure_dp, lie_approximant
+from .approximant import MERGE_TOL, ApproximantConfig, build_measure_dp, lie_approximant
 from .linalg import (
+    as_int,
     as_matrix_pair,
     batched_operator_norms,
     canonical_json,
@@ -32,7 +33,7 @@ from .measure import (
     total_variation,
     trace_measure,
 )
-from .spectral import decompose
+from .spectral import CLUSTER_TOL, decompose
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -110,8 +111,7 @@ def exp_curve_derivative(a, b, order: int) -> np.ndarray:
     derivative in its upper-right block.
     """
     am, bm = as_matrix_pair(a, b)
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError("order must be a non-negative integer")
+    order = as_int(order, "order", 0)
     n = am.shape[0]
     m = order + 1
     big = np.zeros((m * n, m * n), dtype=np.complex128)
@@ -150,11 +150,9 @@ class ConvergenceReport:
 
 
 def _check_schedule(n_schedule) -> tuple[int, ...]:
-    sched = tuple(int(n) for n in n_schedule)
-    if not sched:
-        raise ValueError("schedule must be non-empty")
-    if any(n < 1 for n in sched) or any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("schedule must be strictly increasing positive integers")
+    sched = tuple(as_int(n, f"schedule[{i}]") for i, n in enumerate(n_schedule))
+    if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
+        raise ValueError("schedule must be non-empty and strictly increasing")
     return sched
 
 
@@ -163,8 +161,8 @@ def convergence_study(
     b,
     n_schedule,
     t_grid=None,
-    cluster_tol: float = 1e-8,
-    merge_tol: float = 1e-9,
+    cluster_tol: float = CLUSTER_TOL,
+    merge_tol: float = MERGE_TOL,
 ) -> ConvergenceReport:
     """Measure the approach of L_N and M_N to e^(ta+b) and its derivatives at 0.
 
@@ -177,7 +175,7 @@ def convergence_study(
     if grid.size == 0:
         raise ValueError("t_grid must be non-empty")
     am, bm = as_matrix_pair(a, b)
-    ah = require_hermitian(am, 1e-9, "a")
+    ah = require_hermitian(am, name="a")
     truths = truth_exponential(ah, bm, grid)
     d_truth = np.stack([exp_curve_derivative(ah, bm, k) for k in range(3)])
 
@@ -186,10 +184,7 @@ def convergence_study(
     transforms: dict[int, np.ndarray] = {}
     points = []
     for n_steps in sched:
-        cfg = ApproximantConfig(
-            N=n_steps, cluster_tol=cluster_tol, merge_tol=merge_tol
-        )
-        m = build_measure_dp(ah, bm, cfg)
+        m = build_measure_dp(ah, bm, ApproximantConfig(n_steps, cluster_tol, merge_tol))
         err = float(batched_operator_norms(lie_approximant(ah, bm, grid, n_steps) - truths).max())
         moments = np.stack([moment(m, k) for k in range(3)])
         mom_err = [float(e) for e in batched_operator_norms(moments - d_truth)]
@@ -237,8 +232,8 @@ def stahl_trace_study(a, b, n_schedule, t_grid=None) -> StahlTraceReport:
     grid = default_t_grid() if t_grid is None else np.asarray([complex(t) for t in t_grid])
     if grid.size == 0:
         raise ValueError("t_grid must be non-empty")
-    ah = require_hermitian(a, 1e-9, "a")
-    bh = require_hermitian(b, 1e-9, "b")
+    ah = require_hermitian(a, name="a")
+    bh = require_hermitian(b, name="b")
     truths = np.trace(truth_exponential(ah, bh, grid), axis1=-2, axis2=-1)
     points = []
     for n_steps in sched:

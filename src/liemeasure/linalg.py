@@ -17,7 +17,9 @@ __all__ = [
     "ResourceLimitError",
     "BYTE_BUDGET",
     "LATTICE_LIMIT",
+    "HERMITIAN_TOL",
     "guarded_count",
+    "as_int",
     "as_matrix",
     "as_matrix_pair",
     "hermitian_defect",
@@ -45,6 +47,7 @@ BYTE_BUDGET = 2 * 1024**3
 # t-grid points, and T*K transform coefficients: each point costs an e^(tA+B) or a
 # transform evaluation, so this cap bounds work as well as bytes
 LATTICE_LIMIT = 5_000_000
+HERMITIAN_TOL = 1e-9  # require_hermitian's default: ||s - s*|| may reach tol * ||s||
 
 
 def guarded_count(what: str, base: int, exponent: int, limit: int | None = None, *, peak_bytes=None) -> int:
@@ -68,6 +71,18 @@ def guarded_count(what: str, base: int, exponent: int, limit: int | None = None,
     if need > BYTE_BUDGET:
         raise ResourceLimitError(f"{what}: {count} would need {need} bytes, over the budget of {BYTE_BUDGET} bytes")
     return base**exponent
+
+
+def as_int(value, name: str, minimum: int = 1, context: str = "") -> int:
+    """value, an int or numpy integer >= minimum, as a Python int; else ValueError naming it.
+
+    A bool, a float (4.0 too) and a str are refused; context follows the minimum in its message.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}{context}, got {value}")
+    return int(value)
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -113,7 +128,7 @@ def hermitian_defect(s) -> float:
     return float(np.linalg.svd(m - m.conj().T, compute_uv=False)[0])
 
 
-def require_hermitian(s, tol: float = 1e-9, name: str = "matrix") -> np.ndarray:
+def require_hermitian(s, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
     """Check that s is Hermitian within tol*||s|| and return (s + s*)/2.
 
     The symmetrized copy is what downstream eigen-based code consumes, so
@@ -122,7 +137,7 @@ def require_hermitian(s, tol: float = 1e-9, name: str = "matrix") -> np.ndarray:
     return _hermitian_stack(as_matrix(s, name)[np.newaxis], tol, name)[0]
 
 
-def _hermitian_stack(m: np.ndarray, tol: float, name: str) -> np.ndarray:
+def _hermitian_stack(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
     """require_hermitian of every matrix of a (k, n, n) stack from as_matrix, in stacked SVDs."""
     adj = m.conj().swapaxes(1, 2)
     defect = np.linalg.svd(m - adj, compute_uv=False)[:, 0]
@@ -181,8 +196,7 @@ def tuple_factor_products(factors, count: int) -> np.ndarray:
     stacked = f.ndim == 4
     if f.ndim not in (3, 4) or f.shape[-1] != f.shape[-2] or min(f.shape[:-2]) < 1:
         raise ValueError(f"factors: expected a (l, n, n) or (k, l, n, n) stack, got shape {f.shape}")
-    if count < 1:
-        raise ValueError("count must be a positive integer")
+    count = as_int(count, "count")
     if not stacked:
         f = f[np.newaxis]
     k, l, n = f.shape[:3]
@@ -286,23 +300,30 @@ def _real_array(entries) -> np.ndarray:
     return cells.astype(float)
 
 
+def _re_im(obj: dict, n: int, bad_entries: str, bad_shape: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n) float parts of a {"re", "im"} object; an "im" of null or absent reads as zeros.
+
+    ValueError(bad_entries) on an entry that is not a real number, ValueError(bad_shape) on a part not n x n.
+    """
+    try:
+        re = _real_array(obj["re"])
+        im = np.zeros_like(re) if obj.get("im") is None else _real_array(obj["im"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(bad_entries) from exc
+    if re.shape != (n, n) or im.shape != (n, n):
+        raise ValueError(bad_shape)
+    return re, im
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix schema; "im" is optional and defaults to zero."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON: expected an object")
     if "n" not in obj or "re" not in obj:
         raise ValueError('matrix JSON: required keys "n" and "re"')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError('matrix JSON: "n" must be a positive integer')
-    try:
-        re = _real_array(obj["re"])
-        im_raw = obj.get("im")
-        im = np.zeros((n, n)) if im_raw is None else _real_array(im_raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("matrix JSON: entries must be real numbers") from exc
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise ValueError(f"matrix JSON: entry arrays must have shape ({n}, {n})")
+    n = as_int(obj["n"], 'matrix JSON: "n"')
+    re, im = _re_im(obj, n, "matrix JSON: entries must be real numbers",
+                    f"matrix JSON: entry arrays must have shape ({n}, {n})")
     m = np.empty((n, n), dtype=np.complex128)
     # part by part, not re + 1j*im, which loses the sign of a zero part
     m.real, m.imag = re, im

@@ -17,7 +17,8 @@ from .linalg import (
     _GcPaused,
     _is_real,
     _load_json,
-    _real_array,
+    _re_im,
+    as_int,
     batched_operator_norms,
     guarded_count,
     hermitian_defect,
@@ -80,6 +81,8 @@ class DiscreteMatrixMeasure:
             raise ValueError("weights must be finite")
         if np.any(np.diff(locs) <= 0):
             raise ValueError("locations must be strictly increasing")
+        if self.N is not None:
+            object.__setattr__(self, "N", as_int(self.N, "N"))
         # read-only, so the checks above keep holding; views, so nothing is copied
         locs, w = locs.view(), w.view()
         locs.flags.writeable = w.flags.writeable = False
@@ -103,13 +106,15 @@ def _contract(coeff: np.ndarray, m: DiscreteMatrixMeasure) -> np.ndarray:
 
     einsum sums the atoms in ascending-location order at every grid point, so a
     point's value does not depend on the grid around it, and moment(m, 0) is
-    laplace_transform(m, 0) bit for bit. The one exception seen: for n = 1 and
-    more than 8,192 atoms, a lone row (a scalar t) is summed in another order
-    than a row of a longer grid. A BLAS GEMM would be faster on long grids but
-    sums in another order, which moves the moments' last digits.
+    laplace_transform(m, 0) bit for bit. A lone row (a scalar t, a moment) goes
+    in twice: for n = 1 and over 8,192 atoms, einsum sums one row in another order
+    than a row of a grid. A BLAS GEMM would be faster on long grids but sums in
+    another order, which moves the moments' last digits.
     """
-    flat = coeff.reshape(math.prod(coeff.shape[:-1]), len(m))
-    return np.einsum("tk,kij->tij", flat, m.weights).reshape(coeff.shape[:-1] + (m.dim, m.dim))
+    rows = math.prod(coeff.shape[:-1])
+    flat = coeff.reshape(rows, len(m))
+    out = np.einsum("tk,kij->tij", flat if rows != 1 else np.vstack((flat, flat)), m.weights)
+    return out[:rows].reshape(coeff.shape[:-1] + (m.dim, m.dim))
 
 
 def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
@@ -117,11 +122,11 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
 
     Returns shape t.shape + (n, n): (n, n) for a scalar, (T, n, n) for a grid
     of T points. The grid is evaluated a chunk of points at a time, so about
-    _CHUNK_NUMBERS coefficients e^(t*lambda_k) exist at once (at most three
-    points' worth when K is larger), and each point's value is the one a
-    whole-grid einsum gives, bit for bit. Raises OverflowError, naming the
-    worst Re(t)*lambda on the grid, when some e^(t*lambda_k) would leave the
-    float range, and ResourceLimitError, before allocating, beyond
+    _CHUNK_NUMBERS coefficients e^(t*lambda_k) exist at once (two points'
+    worth when K is larger), and each point's value, a scalar t's too, is the
+    one a whole-grid einsum gives, bit for bit. Raises OverflowError, naming
+    the worst Re(t)*lambda on the grid, when some e^(t*lambda_k) would leave
+    the float range, and ResourceLimitError, before allocating, beyond
     LATTICE_LIMIT coefficients.
     """
     t = np.asarray(t, dtype=np.complex128)
@@ -137,10 +142,9 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
             )
     out = np.empty(t.shape + (m.dim, m.dim), dtype=np.complex128)
     points, values = t.reshape(-1), out.reshape(-1, m.dim, m.dim)
-    # a lone row is the exception _contract names, so no chunk is one point of a
-    # longer grid: a last lone point joins the chunk before it
+    # chunks of at least two points, so _contract pads at most the last one
     step = max(2, _CHUNK_NUMBERS // max(1, len(m)))
-    edges = [*range(0, max(t.size - 1, 1), step), t.size]
+    edges = [*range(0, t.size, step), t.size]
     for start, stop in zip(edges, edges[1:]):
         coeff = np.multiply.outer(points[start:stop], m.locations)
         values[start:stop] = _contract(np.exp(coeff, out=coeff), m)
@@ -149,8 +153,7 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
 
 def moment(m: DiscreteMatrixMeasure, k: int) -> np.ndarray:
     """sum_j lambda_j^k * W_j; k = 0 gives the total mass, equal to laplace_transform(m, 0)."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError("moment order must be a non-negative integer")
+    k = as_int(k, "moment order k", 0)
     coeff = m.locations.astype(complex) ** k if k else np.ones(len(m), dtype=complex)
     return _contract(coeff, m)
 
@@ -168,9 +171,15 @@ def support_interval(m: DiscreteMatrixMeasure) -> tuple[float, float]:
 
 
 def trace_measure(m: DiscreteMatrixMeasure) -> DiscreteMatrixMeasure:
-    """The n=1 measure with weights tr(W_k), shape (K, 1, 1), at the same locations."""
-    traces = np.trace(m.weights, axis1=1, axis2=2).reshape(-1, 1, 1)
-    return DiscreteMatrixMeasure(m.locations.copy(), traces, N=m.N, source=m.source)
+    """The n=1 measure with weights tr(W_k), shape (K, 1, 1), at the same locations.
+
+    OverflowError, naming the first such atom, when a trace leaves the float range.
+    """
+    with np.errstate(over="ignore"):
+        traces = np.trace(m.weights, axis1=1, axis2=2)
+    if not np.isfinite(traces).all():
+        raise OverflowError(f"the trace of atom {np.flatnonzero(~np.isfinite(traces))[0]} leaves the float range")
+    return DiscreteMatrixMeasure(m.locations.copy(), traces.reshape(-1, 1, 1), N=m.N, source=m.source)
 
 
 def is_nonnegative_measure(m: DiscreteMatrixMeasure, tol: float = 1e-9) -> bool:
@@ -221,7 +230,7 @@ def measure_to_json(m: DiscreteMatrixMeasure) -> dict:
             {"lambda": l, "weight": {"re": re, "im": im}}
             for l, re, im in zip(m.locations.tolist(), m.weights.real.tolist(), m.weights.imag.tolist())
         ]
-        return {"n": m.dim, "N": None if m.N is None else int(m.N), "atoms": atoms}
+        return {"n": m.dim, "N": m.N, "atoms": atoms}
 
 
 def measure_from_json(obj) -> DiscreteMatrixMeasure:
@@ -237,12 +246,8 @@ def measure_from_json(obj) -> DiscreteMatrixMeasure:
     for key in ("n", "atoms"):
         if key not in obj:
             raise ValueError(f'measure JSON: required key "{key}"')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError('measure JSON: "n" must be a positive integer')
-    nsteps = obj.get("N")
-    if nsteps is not None and (not isinstance(nsteps, int) or isinstance(nsteps, bool) or nsteps < 1):
-        raise ValueError('measure JSON: "N" must be a positive integer or null')
+    n = as_int(obj["n"], 'measure JSON: "n"')
+    nsteps = None if obj.get("N") is None else as_int(obj["N"], 'measure JSON: "N"')
     raw = obj["atoms"]
     if not isinstance(raw, list):
         raise ValueError('measure JSON: "atoms" must be a list')
@@ -317,13 +322,8 @@ def _atom_rows_one_by_one(atoms: list, n: int) -> list:
         w = atom["weight"]
         if not isinstance(w, dict) or "re" not in w:
             raise ValueError(f'measure JSON: atom {k} weight needs "re"')
-        try:
-            re = _real_array(w["re"])
-            im = np.zeros((n, n)) if w.get("im") is None else _real_array(w["im"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"measure JSON: atom {k} weight entries must be numbers") from exc
-        if re.shape != (n, n) or im.shape != (n, n):
-            raise ValueError(f"measure JSON: atom {k} weight must be {n}x{n}")
+        re, im = _re_im(w, n, f"measure JSON: atom {k} weight entries must be numbers",
+                        f"measure JSON: atom {k} weight must be {n}x{n}")
         rows.append(np.concatenate(([location], re.ravel(), im.ravel())))
     return rows
 
@@ -367,7 +367,7 @@ def write_measure(path, m: DiscreteMatrixMeasure) -> None:
         raise ValueError("non-finite number in JSON payload")
     matrix = "[" + ",".join(["[" + ",".join(["%.17g"] * n) + "]"] * n) + "]"
     atom = '{"lambda":%.17g,"weight":{"re":' + matrix + ',"im":' + matrix + "}}"
-    nsteps = "null" if m.N is None else str(int(m.N))
+    nsteps = "null" if m.N is None else str(m.N)
     columns = (
         m.locations.reshape(count, 1),
         m.weights.real.reshape(count, n * n),

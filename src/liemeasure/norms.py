@@ -13,6 +13,7 @@ import numpy as np
 
 from .linalg import (
     _tuple_norm_sums,
+    as_int,
     as_matrix,
     batched_operator_norms,
     matrix_exp,
@@ -94,16 +95,11 @@ def rank_one_exp(r) -> np.ndarray:
     For r with every entry equal to c >= 0 (a rank-one matrix when c > 0),
     e^r = I + ((e^(n*c) - 1)/(n*c)) * r; for c = 0 this is the identity.
     """
-    a = as_matrix(r, "r")
-    if np.any(a.imag != 0):
-        raise ValueError("r: entries must be real")
-    re = a.real
+    re = _require_entrywise_nonneg(r, "r")
     c = float(re.flat[0])
-    if np.abs(re - c).max() > 1e-12 * max(1.0, abs(c)):
+    if np.abs(re - c).max() > 1e-12 * max(1.0, c):
         raise ValueError("r: entries must all be equal")
-    if c < 0:
-        raise ValueError("r: the common entry must be non-negative")
-    n = a.shape[0]
+    n = re.shape[0]
     out = np.eye(n)
     if c > 0:
         out = out + (math.expm1(n * c) / (n * c)) * re
@@ -155,13 +151,10 @@ def partition_product_bound(projectors, r, count: int):
     rr = _require_entrywise_nonneg(r, "r")
     if rr.shape != (n, n):
         raise ValueError("r: dimension mismatch with projectors")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError("count must be a positive integer")
+    count = as_int(count, "count")
     ident_defect = np.abs(np.add.reduce(mats, axis=0) - np.eye(n)).max()
     if ident_defect > 1e-10:
-        raise ValueError(
-            f"projectors must sum to the identity (defect {ident_defect:.3e})"
-        )
+        raise ValueError(f"projectors must sum to the identity (defect {ident_defect:.3e})")
     sums, bounds, _ = _partition_products(mats[np.newaxis], rr[np.newaxis], count)
     return float(sums[0]), float(bounds[0])
 
@@ -183,8 +176,7 @@ def _partition_products(projectors: np.ndarray, r: np.ndarray, count: int):
 
 def total_variation_bound(n: int, b) -> float:
     """n * e^(n*||b||), the a-priori total-variation bound for any step count; inf past the float range."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = as_int(n, "n")
     growth = n * operator_norm(b)
     try:
         return float(n * math.exp(growth))

@@ -16,9 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _hermitian_stack, as_matrix
+from .linalg import _hermitian_stack, as_int, as_matrix
 
-__all__ = ["SpectralDecomposition", "decompose", "apply_function", "scaled_exp"]
+__all__ = ["CLUSTER_TOL", "SpectralDecomposition", "decompose", "apply_function", "scaled_exp"]
+
+CLUSTER_TOL = 1e-8  # decompose's default: a gap of at most tol * max(1, ||a||) joins two eigenvalues
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class SpectralDecomposition:
         return out
 
 
-def decompose(a, cluster_tol: float = 1e-8) -> SpectralDecomposition:
+def decompose(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     """Resolve a Hermitian matrix into its eigenbasis and distinct eigenvalues.
 
     Parameters
@@ -107,7 +109,7 @@ def _decompose_stack(a: np.ndarray, cluster_tol: float) -> list[SpectralDecompos
     offset by n per matrix sums every cluster; each result is bit for bit its
     own decompose call's.
     """
-    w, v = np.linalg.eigh(_hermitian_stack(a, 1e-9, "a"))
+    w, v = np.linalg.eigh(_hermitian_stack(a, name="a"))
     k, n = w.shape
     gap = cluster_tol * np.maximum(1.0, np.abs(w).max(axis=1))
     # a new cluster starts wherever the sorted spectrum jumps by more than gap
@@ -129,7 +131,5 @@ def apply_function(d: SpectralDecomposition, f) -> np.ndarray:
 
 def scaled_exp(d: SpectralDecomposition, t, scale: int) -> np.ndarray:
     """sum_j e^(t*lambda_j/scale) E_j, the exact exponential of (t/scale)*a."""
-    if not isinstance(scale, (int, np.integer)) or scale < 1:
-        raise ValueError("scale must be a positive integer")
-    t = complex(t)
+    t, scale = complex(t), as_int(scale, "scale")
     return apply_function(d, lambda lam: cmath.exp(t * lam / scale))

@@ -19,6 +19,7 @@ phases and the report.
 
 import numpy as np
 
+from ..linalg import as_int
 from .approximant import (
     lemma_commuting_exactness,
     lemma_dp_vs_bruteforce,
@@ -111,13 +112,6 @@ def run_suite(
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    min_dim = 1 if names == ["norms"] else 2
-    if max_dim < min_dim:
-        raise ValueError(f"max_dim must be at least {min_dim} for suite {suite!r}, got {max_dim}")
-    results = []
-    for name in names:
-        for fn in SUITES[name]:
-            results.append(run_lemma(fn, trials, seed, max_dim, min_gap))
-    return results
+    trials = as_int(trials, "trials")
+    max_dim = as_int(max_dim, "max_dim", 1 if names == ["norms"] else 2, f" for suite {suite!r}")
+    return [run_lemma(fn, trials, seed, max_dim, min_gap) for name in names for fn in SUITES[name]]

@@ -63,7 +63,7 @@ _TRANSFORM_POINTS = np.array([-1.0, -0.3, 0.0, 0.7, 1.0, 1j, -1j])
 def lemma_transform_identity(rng, trials, max_dim, min_gap=0.0):
     def margins(cases):
         a, b = stack(cases, 0), stack(cases, 1)
-        ln = _lie_approximants(_hermitian_stack(a, 1e-9, "a"), b, _TRANSFORM_POINTS, cases[0].N)
+        ln = _lie_approximants(_hermitian_stack(a, name="a"), b, _TRANSFORM_POINTS, cases[0].N)
         tol = 1e-9 * np.maximum(1.0, batched_operator_norms(ln.reshape(-1, *a.shape[1:])))
         tol = tol.reshape(ln.shape[:2])
 

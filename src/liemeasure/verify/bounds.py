@@ -3,7 +3,7 @@
 import numpy as np
 
 from .. import sampling
-from ..approximant import _SLAB_BYTES, _bruteforce_measures, _tuple_products
+from ..approximant import _SLAB_BYTES, _grouped_measures, _tuple_products
 from ..linalg import _tuple_norm_sums, _tuple_peak_bytes
 from ..measure import total_variation
 from ..norms import _partition_products, total_variation_bound
@@ -60,7 +60,8 @@ def lemma_tuple_norm_regrouping(rng, trials, max_dim, min_gap=0.0):
         return Build(a, b, int(rng.integers(1, 6)))
 
     def regrouped(decs, steps, cfg):
-        return zip(_bruteforce_measures(decs, steps, cfg), _tuple_norm_sums(_tuple_products(decs, steps, cfg.N)))
+        prods = _tuple_products(decs, steps, cfg.N)
+        return zip(_grouped_measures(prods, decs, cfg), _tuple_norm_sums(prods))
 
     def margin(i, dec, built):
         m, norm_sum = built

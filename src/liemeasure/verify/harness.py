@@ -35,17 +35,8 @@ class LemmaResult:
 
 
 def as_payload(**items) -> dict:
-    out = {}
-    for key, value in items.items():
-        if isinstance(value, np.ndarray):
-            out[key] = matrix_to_json(value)
-        elif isinstance(value, (np.integer,)):
-            out[key] = int(value)
-        elif isinstance(value, (np.floating,)):
-            out[key] = float(value)
-        else:
-            out[key] = value
-    return out
+    """items, each array as its matrix JSON; canonical_json writes a numpy number as Python's."""
+    return {key: matrix_to_json(v) if isinstance(v, np.ndarray) else v for key, v in items.items()}
 
 
 def report(name: str, margins, payload) -> LemmaResult:

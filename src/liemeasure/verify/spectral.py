@@ -4,7 +4,7 @@ import numpy as np
 
 from .. import sampling
 from ..linalg import batched_operator_norms, matrix_exp
-from ..spectral import _decompose_stack, scaled_exp
+from ..spectral import CLUSTER_TOL, _decompose_stack, scaled_exp
 from .harness import LemmaResult, as_payload, dim, groups, run_trials, stack
 
 
@@ -26,7 +26,7 @@ def _spectral_lemma(name, rng, trials, max_dim, min_gap, margins_of, extra=None,
 
     def margins(cases):
         a = stack(cases)
-        return margins_of(a, _decompose_stack(a, 1e-8), [case[1] for case in cases])
+        return margins_of(a, _decompose_stack(a, CLUSTER_TOL), [case[1] for case in cases])
 
     return run_trials(name, rng, trials, draw, dim, margins, lambda c: payload(*c))
 

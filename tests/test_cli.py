@@ -14,7 +14,7 @@ import liemeasure.cli as cli
 from liemeasure.cli import main, parse_schedule, parse_t_grid
 from liemeasure.approximant import _torus_peak_bytes
 from liemeasure.linalg import BYTE_BUDGET, write_matrix
-from liemeasure.measure import read_measure
+from liemeasure.measure import DiscreteMatrixMeasure, read_measure, write_measure
 from liemeasure.verify import LemmaResult
 
 
@@ -324,6 +324,17 @@ def test_counterexample_command(capsys):
     assert "det(D) = -0.38109784554181581" in out
     assert "psd = False" in out
     assert "onset_negative_det = 16" in out
+
+
+def test_an_overflowing_trace_exits_2_naming_its_atom(tmp_path, capsys):
+    # finite weights whose trace leaves the float range: plot traces every atom
+    weights = np.stack([np.eye(2), np.diag([-1e308, -1e308])]).astype(complex)
+    path = str(tmp_path / "m.json")
+    write_measure(path, DiscreteMatrixMeasure(np.array([0.0, 1.0]), weights))
+    assert main(["plot", "--measure", path, "--out", str(tmp_path / "fig")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: the trace of atom 1 leaves the float range\n"
 
 
 def test_plot_command(tmp_path, pair_files, capsys):
