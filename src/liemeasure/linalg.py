@@ -303,12 +303,13 @@ def _real_array(entries) -> np.ndarray:
 def _re_im(obj: dict, n: int, bad_entries: str, bad_shape: str) -> tuple[np.ndarray, np.ndarray]:
     """The (n, n) float parts of a {"re", "im"} object; an "im" of null or absent reads as zeros.
 
-    ValueError(bad_entries) on an entry that is not a real number, ValueError(bad_shape) on a part not n x n.
+    ValueError(bad_entries) on an entry that is not a real number or lies
+    beyond the float range, ValueError(bad_shape) on a part not n x n.
     """
     try:
         re = _real_array(obj["re"])
         im = np.zeros_like(re) if obj.get("im") is None else _real_array(obj["im"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
         raise ValueError(bad_entries) from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(bad_shape)

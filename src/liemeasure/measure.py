@@ -316,9 +316,12 @@ def _atom_rows_one_by_one(atoms: list, n: int) -> list:
             continue
         if not isinstance(atom, dict) or "lambda" not in atom or "weight" not in atom:
             raise ValueError(f'measure JSON: atom {k} needs "lambda" and "weight"')
-        if not _is_real(atom["lambda"]):
+        try:
+            location = float(atom["lambda"]) if _is_real(atom["lambda"]) else None
+        except OverflowError:  # an integer beyond the float range
+            location = None
+        if location is None:
             raise ValueError(f"measure JSON: atom {k} has a bad location")
-        location = float(atom["lambda"])
         w = atom["weight"]
         if not isinstance(w, dict) or "re" not in w:
             raise ValueError(f'measure JSON: atom {k} weight needs "re"')

@@ -71,12 +71,25 @@ def is_subordinate(m, s) -> SubordinationWitness:
     b = _require_entrywise_nonneg(s, "s")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = b - np.abs(a)
-    flat = int(np.argmin(diff))
-    n = a.shape[0]
-    slack = float(diff.flat[flat])
-    tol = 1e-12 * max(1.0, operator_norm(b))
-    return SubordinationWitness(slack >= -tol, (flat // n, flat % n), slack)
+    holds, flat, slack = _subordinations(a[np.newaxis], b[np.newaxis])
+    return _witness(holds[0], flat[0], slack[0], a.shape[0])
+
+
+def _subordinations(m: np.ndarray, s: np.ndarray):
+    """is_subordinate of each pair of (k, n, n) stacks m and s, unchecked, the norms of s in one stacked SVD.
+
+    Returns (holds, flat index of a worst entry, slack), each of shape (k,),
+    each pair's values bit for bit its own call's.
+    """
+    diff = (s - np.abs(m)).reshape(len(m), -1)
+    flat = diff.argmin(axis=1)
+    slack = diff[np.arange(len(diff)), flat]
+    return slack >= -1e-12 * np.maximum(1.0, batched_operator_norms(s)), flat, slack
+
+
+def _witness(holds, flat, slack, n: int) -> SubordinationWitness:
+    flat = int(flat)
+    return SubordinationWitness(bool(holds), (flat // n, flat % n), float(slack))
 
 
 def norm_majorant(b) -> np.ndarray:
@@ -85,8 +98,12 @@ def norm_majorant(b) -> np.ndarray:
     Any matrix is subordinate to its majorant, and the majorant has operator
     norm n*||b|| and entrywise-exponential norm e^(n*||b||).
     """
-    a = as_matrix(b, "b")
-    return np.full(a.shape, operator_norm(a))
+    return _majorants(as_matrix(b, "b")[np.newaxis])[0]
+
+
+def _majorants(b: np.ndarray) -> np.ndarray:
+    """norm_majorant of each matrix of a (k, n, n) stack, the norms in one stacked SVD."""
+    return np.broadcast_to(batched_operator_norms(b)[:, np.newaxis, np.newaxis], b.shape).copy()
 
 
 def rank_one_exp(r) -> np.ndarray:
@@ -113,16 +130,29 @@ def check_exp_monotone(x, y) -> SubordinationWitness:
     absorbs the per-matrix parameter choices it makes internally.
     """
     xr = _require_entrywise_nonneg(x, "x")
-    pre = is_subordinate(y, xr)
-    if not pre.holds:
+    ym = as_matrix(y, "m")
+    if ym.shape != xr.shape:
+        raise ValueError(f"dimension mismatch: {ym.shape} vs {xr.shape}")
+    holds, flat, slack = _exp_monotone(xr[np.newaxis], ym[np.newaxis])
+    return _witness(holds[0], flat[0], slack[0], xr.shape[0])
+
+
+def _exp_monotone(x: np.ndarray, y: np.ndarray):
+    """check_exp_monotone of each pair of (k, n, n) stacks, x real and non-negative, unchecked.
+
+    Returns _subordinations of e^y against e^x, each pair's values bit for
+    bit its own call's; ValueError names the first pair whose y is not
+    subordinate to x.
+    """
+    holds, flat, slack = _subordinations(y, x)
+    if not holds.all():
+        pre = _witness(False, flat[~holds][0], slack[~holds][0], x.shape[1])
         raise ValueError(
             f"y is not subordinate to x (slack {pre.slack:.3e} at {pre.worst_pair})"
         )
-    ey = matrix_exp(y)
-    ex = matrix_exp(xr)
     # e^x of an entrywise non-negative real matrix is entrywise non-negative;
     # the imaginary part is exactly zero through the complex arithmetic.
-    return is_subordinate(ey, np.maximum(ex.real, 0.0))
+    return _subordinations(matrix_exp(y), np.maximum(matrix_exp(x).real, 0.0))
 
 
 def inverse_triangle_sum(parts) -> tuple[float, float]:
@@ -131,10 +161,22 @@ def inverse_triangle_sum(parts) -> tuple[float, float]:
     For such parts the sum of operator norms is bounded by n times the norm
     of the sum, the reverse of the triangle inequality up to the factor n.
     """
-    mats = _nonneg_stack(parts, "parts")
-    lhs = sum(operator_norm(m) for m in mats)
-    rhs = mats.shape[1] * operator_norm(np.add.reduce(mats, axis=0))
-    return lhs, rhs
+    lhs, rhs = _inverse_triangle_sums(_nonneg_stack(parts, "parts")[np.newaxis])
+    return float(lhs[0]), float(rhs[0])
+
+
+def _inverse_triangle_sums(parts: np.ndarray):
+    """inverse_triangle_sum of each (p, n, n) stack of a (k, p, n, n) stack, unchecked.
+
+    Returns (lhs, rhs), each of shape (k,), each case's values bit for bit its
+    own call's: the norms in stacked SVDs, summed part by part in order.
+    """
+    k, p, n = parts.shape[:3]
+    norms = batched_operator_norms(parts.reshape(-1, n, n)).reshape(k, p)
+    lhs = 0.0
+    for j in range(p):
+        lhs = lhs + norms[:, j]
+    return lhs, n * batched_operator_norms(np.add.reduce(parts, axis=1))
 
 
 def partition_product_bound(projectors, r, count: int):

@@ -1,10 +1,12 @@
 """Randomized verification suites for the inequalities behind the construction.
 
-Each lemma runs in two phases. The draw phase makes every trial's random
-instance, with exactly the rng calls, in exactly the order, of a loop that
-draws and checks one trial at a time. The evaluate phase then groups the
-trials by shape and computes every margin through stacked calls: one SVD,
-eigh or expm per group, and the builders' stacked cores over instances that
+Each lemma runs in two phases. The draw phase makes exactly the rng calls,
+in exactly the order, of a loop that draws and checks one trial at a time,
+and keeps only their raw numbers: it runs no linear algebra. The evaluate
+phase then groups the trials by shape, forms each group's random instances
+through the stacked formers of `sampling` (one QR per group for its
+unitaries), and computes every margin through stacked calls: one SVD, eigh
+or expm per group, and the builders' stacked cores over instances that
 share (n, l, N), a slab of matrices at a time. Each margin is bit for bit
 the one a lone trial gives.
 

@@ -13,28 +13,43 @@ from ..approximant import (
 )
 from ..linalg import _hermitian_stack, _tuple_peak_bytes, batched_operator_norms, matrix_exp, operator_norm
 from ..measure import laplace_transform, moment
-from .harness import Build, build_lemma, built_margins, stack
+from .harness import BuildDraw, build_lemma, built_margins, fields, groups, matrices, stack
 
 
-def _random_builder_instance(rng, max_dim, min_gap):
-    n = int(rng.integers(2, min(max_dim, 4) + 1))
-    l = int(rng.integers(1, min(n, 3) + 1))
-    lam = sampling.spaced_values(rng, l, min_gap=max(min_gap, 0.15))
-    mult = np.ones(l, dtype=int)
-    for _ in range(n - l):
-        mult[int(rng.integers(0, l))] += 1
-    a = sampling.hermitian_with_spectrum(rng, lam, mult)
-    b = sampling.random_matrix(rng, n, scale=float(rng.uniform(0.2, 1.5)))
-    return a, b
+def _builder_draw(max_dim, steps):
+    """draw(rng) of a random builder instance and then steps(rng), its step count.
 
-
-def _builder_draw(max_dim, min_gap, steps):
-    """draw(rng) of a random builder instance and then steps(rng), its step count."""
+    The instance is hermitian_with_spectrum(rng, spaced_values(rng, l, gap), mult)
+    with l clusters of random multiplicities, n = 2..4, and a random_matrix b;
+    its draw keeps the unsorted values, the cluster that each of the n - l
+    extra eigenvalues joins, and the draws of the unitary and of b.
+    """
     def draw(rng):
-        a, b = _random_builder_instance(rng, max_dim, min_gap)
-        return Build(a, b, steps(rng))
+        n = int(rng.integers(2, min(max_dim, 4) + 1))
+        l = int(rng.integers(1, min(n, 3) + 1))
+        spectrum = sampling.draw_spaced(rng, l)
+        joins = [int(rng.integers(0, l)) for _ in range(n - l)]
+        a = spectrum, joins, sampling.draw_unitary(rng, n)
+        b = sampling.draw_matrix(rng, n, scale=float(rng.uniform(0.2, 1.5)))
+        return BuildDraw(n, a, b, steps(rng))
 
     return draw
+
+
+def _builder_pairs(min_gap):
+    """form_pairs of _builder_draw draws: the spectra of each cluster count in one call, then one QR for all."""
+    def form_pairs(draws):
+        spectra, joins, unitaries = zip(*(d.a for d in draws))
+        diag = np.empty((len(draws), draws[0].n))
+        for idx in groups(map(len, spectra)):
+            lam = sampling.form_spaced(np.array([spectra[i] for i in idx]), max(min_gap, 0.15))
+            # np.repeat(lam, mult), mult[j] = 1 + the extra eigenvalues that join cluster j
+            labels = np.array([sorted([*range(lam.shape[1]), *joins[i]]) for i in idx])
+            diag[idx] = np.take_along_axis(lam, labels, axis=1)
+        a = sampling.form_with_spectrum(diag, sampling.form_unitaries(*fields(unitaries)))
+        return a, matrices([d.b for d in draws])
+
+    return form_pairs
 
 
 def lemma_dp_vs_bruteforce(rng, trials, max_dim, min_gap=0.0):
@@ -52,8 +67,8 @@ def lemma_dp_vs_bruteforce(rng, trials, max_dim, min_gap=0.0):
     def peak(l, n_steps, n):
         return _torus_peak_bytes(l, n_steps, n) + _tuple_peak_bytes(l, n_steps, n)
 
-    draw = _builder_draw(max_dim, min_gap, lambda rng: int(rng.integers(1, 7)))
-    return build_lemma("dp-vs-bruteforce", rng, trials, draw,
+    draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 7)))
+    return build_lemma("dp-vs-bruteforce", rng, trials, draw, _builder_pairs(min_gap),
                        lambda cases: built_margins(cases, margin, peak, both))
 
 
@@ -73,8 +88,8 @@ def lemma_transform_identity(rng, trials, max_dim, min_gap=0.0):
 
         return built_margins(cases, margin)
 
-    draw = _builder_draw(max_dim, min_gap, lambda rng: int(rng.choice([4, 8, 16])))
-    return build_lemma("transform-identity", rng, trials, draw, margins)
+    draw = _builder_draw(max_dim, lambda rng: int(rng.choice([4, 8, 16])))
+    return build_lemma("transform-identity", rng, trials, draw, _builder_pairs(min_gap), margins)
 
 
 def lemma_support_in_hull(rng, trials, max_dim, min_gap=0.0):
@@ -89,8 +104,8 @@ def lemma_support_in_hull(rng, trials, max_dim, min_gap=0.0):
         )
         return min(inside + 1e-12, 1e-12 - hull_gap)
 
-    draw = _builder_draw(max_dim, min_gap, lambda rng: int(rng.integers(1, 9)))
-    return build_lemma("support-in-hull", rng, trials, draw,
+    draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 9)))
+    return build_lemma("support-in-hull", rng, trials, draw, _builder_pairs(min_gap),
                        lambda cases: built_margins(cases, margin))
 
 
@@ -99,8 +114,8 @@ def lemma_total_mass(rng, trials, max_dim, min_gap=0.0):
         eb = matrix_exp(stack(cases, 1))
         return built_margins(cases, lambda i, dec, m: 1e-10 - operator_norm(moment(m, 0) - eb[i]))
 
-    draw = _builder_draw(max_dim, min_gap, lambda rng: int(rng.integers(1, 9)))
-    return build_lemma("total-mass", rng, trials, draw, margins)
+    draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 9)))
+    return build_lemma("total-mass", rng, trials, draw, _builder_pairs(min_gap), margins)
 
 
 _COMMUTING_POINTS = np.array([-1.0, 0.0, 0.5, 1.0])
@@ -109,8 +124,11 @@ _COMMUTING_POINTS = np.array([-1.0, 0.0, 0.5, 1.0])
 def lemma_commuting_exactness(rng, trials, max_dim, min_gap=0.0):
     def draw(rng):
         n = int(rng.integers(2, min(max_dim, 4) + 1))
-        a, b = sampling.commuting_hermitian_pair(rng, n, scale=1.5)
-        return Build(a, b, int(rng.choice([1, 3, 8])))
+        pair = sampling.draw_commuting_pair(rng, n, scale=1.5)
+        return BuildDraw(n, pair, None, int(rng.choice([1, 3, 8])))
+
+    def form_pairs(draws):
+        return sampling.form_commuting_pairs(*fields(d.a for d in draws))
 
     def margins(cases):
         a, b = stack(cases, 0), stack(cases, 1)
@@ -140,4 +158,4 @@ def lemma_commuting_exactness(rng, trials, max_dim, min_gap=0.0):
             worst = max(worst, float(np.abs(m.weights[dust]).max()))
         return 1e-10 - worst
 
-    return build_lemma("commuting-exactness", rng, trials, draw, margins)
+    return build_lemma("commuting-exactness", rng, trials, draw, form_pairs, margins)

@@ -7,15 +7,25 @@ from ..approximant import _SLAB_BYTES, _grouped_measures, _tuple_products
 from ..linalg import _tuple_norm_sums, _tuple_peak_bytes
 from ..measure import total_variation
 from ..norms import _partition_products, total_variation_bound
-from .harness import Build, as_payload, build_lemma, built_margins, run_trials, stack
+from .harness import BuildDraw, as_payload, build_lemma, built_margins, fields, matrices, run_trials, stack
+
+
+def _draw_generic_pair(rng, max_dim, max_steps):
+    """A random_hermitian a of scale 2, a random_matrix b, and a step count in 1..max_steps, as drawn."""
+    n = int(rng.integers(2, min(max_dim, 4) + 1))
+    a = sampling.draw_matrix(rng, n, scale=2.0)
+    b = sampling.draw_matrix(rng, n, scale=float(rng.uniform(0.1, 1.5)))
+    return BuildDraw(n, a, b, int(rng.integers(1, max_steps + 1)))
+
+
+def _form_generic_pairs(draws):
+    a = sampling.form_hermitian(matrices([d.a for d in draws]))
+    return a, matrices([d.b for d in draws])
 
 
 def lemma_tv_bound(rng, trials, max_dim, min_gap=0.0):
     def draw(rng):
-        n = int(rng.integers(2, min(max_dim, 4) + 1))
-        a = sampling.random_hermitian(rng, n, scale=2.0)
-        b = sampling.random_matrix(rng, n, scale=float(rng.uniform(0.1, 1.5)))
-        return Build(a, b, int(rng.integers(1, 7)))
+        return _draw_generic_pair(rng, max_dim, 6)
 
     def margins(cases):
         def margin(i, dec, m):
@@ -23,7 +33,7 @@ def lemma_tv_bound(rng, trials, max_dim, min_gap=0.0):
 
         return built_margins(cases, margin)
 
-    return build_lemma("total-variation-bound", rng, trials, draw, margins)
+    return build_lemma("total-variation-bound", rng, trials, draw, _form_generic_pairs, margins)
 
 
 def lemma_partition_product_bound(rng, trials, max_dim, min_gap=0.0):
@@ -31,9 +41,13 @@ def lemma_partition_product_bound(rng, trials, max_dim, min_gap=0.0):
         n = int(rng.integers(2, min(max_dim, 4) + 1))
         parts = int(rng.integers(1, 4))
         n_steps = int(rng.integers(1, 6))
-        projectors = sampling.random_diagonal_partition(rng, n, parts)
+        weights = sampling.draw_partition(rng, n, parts)
         r = sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 1.2)))
-        return projectors, r, n_steps
+        return weights, r, n_steps
+
+    def form(draws):
+        weights, r, n_steps = fields(draws)
+        return list(zip(sampling.form_partitions(weights), r, n_steps.tolist()))
 
     def margins(cases):
         projectors, r = stack(cases, 0), stack(cases, 1)
@@ -49,15 +63,12 @@ def lemma_partition_product_bound(rng, trials, max_dim, min_gap=0.0):
 
     return run_trials("partition-product-bound", rng, trials, draw,
                       lambda c: (len(c[1]), len(c[0]), c[2]), margins,
-                      lambda c: as_payload(r=c[1], parts=len(c[0]), N=c[2]))
+                      lambda c: as_payload(r=c[1], parts=len(c[0]), N=c[2]), form)
 
 
 def lemma_tuple_norm_regrouping(rng, trials, max_dim, min_gap=0.0):
     def draw(rng):
-        n = int(rng.integers(2, min(max_dim, 4) + 1))
-        a = sampling.random_hermitian(rng, n, scale=2.0)
-        b = sampling.random_matrix(rng, n, scale=float(rng.uniform(0.1, 1.5)))
-        return Build(a, b, int(rng.integers(1, 6)))
+        return _draw_generic_pair(rng, max_dim, 5)
 
     def regrouped(decs, steps, cfg):
         prods = _tuple_products(decs, steps, cfg.N)
@@ -67,5 +78,5 @@ def lemma_tuple_norm_regrouping(rng, trials, max_dim, min_gap=0.0):
         m, norm_sum = built
         return norm_sum + 1e-10 - total_variation(m)
 
-    return build_lemma("tuple-norm-regrouping", rng, trials, draw,
+    return build_lemma("tuple-norm-regrouping", rng, trials, draw, _form_generic_pairs,
                        lambda cases: built_margins(cases, margin, _tuple_peak_bytes, regrouped))

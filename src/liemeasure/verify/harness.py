@@ -1,9 +1,11 @@
 """The verify harness: draw every trial, evaluate the trials in stacks, report the first failure.
 
-run_trials draws every trial's case first, with the rng calls, in the
-order, of a loop that draws and checks one trial at a time; it then hands
-the cases of each shape to the lemma's stacked evaluation, a slab of them
-at a time, and reports the first failing trial. The builder lemmas share
+run_trials draws every trial first, with the rng calls, in the order, of a
+loop that draws and checks one trial at a time. A draw holds only the raw
+numbers of those calls; no matrix is formed while the lemma draws. It then
+takes the draws of each shape a slab at a time, forms their cases through
+the stacked formers of `sampling`, hands the cases to the lemma's stacked
+evaluation, and reports the first failing trial. The builder lemmas share
 Build cases and blocks, which stack builds of one (n, l, N) through the
 builders' stacked cores.
 """
@@ -23,6 +25,7 @@ from ..approximant import (
     _torus_peak_bytes,
 )
 from ..linalg import matrix_to_json
+from ..sampling import form_matrices
 
 
 @dataclass(frozen=True)
@@ -65,30 +68,57 @@ def groups(keys) -> list[list[int]]:
 CASE_MATRICES = 16
 
 
-def run_trials(name: str, rng, trials: int, draw, key, margins_of, payload) -> LemmaResult:
-    """Draw every trial, evaluate the trials of each key together, report the first failure.
+def draw_trials(rng, trials: int, draw) -> list:
+    """The draw phase: draw(rng) of every trial, in trial order."""
+    return [draw(rng) for _ in range(trials)]
 
-    draw(rng) makes one trial's case; key(case) is a tuple whose first entry
-    is the matrix dimension n; margins_of(cases) gives the margins of a list
-    of cases that share a key, at most one slab of CASE_MATRICES each;
-    payload(case) is a failure's replay.
+
+def run_trials(name: str, rng, trials: int, draw, key, margins_of, payload, form=list) -> LemmaResult:
+    """Draw every trial, form and evaluate the trials of each key together, report the first failure.
+
+    draw(rng) makes one trial's draw with rng calls alone; key(draw) is a
+    tuple whose first entry is the matrix dimension n; form(draws) makes the
+    cases of a list of draws that share a key, in stacked calls (by default
+    a draw is its case); margins_of(cases) gives their margins, at most one
+    slab of CASE_MATRICES each; payload(case) is a failure's replay, whose
+    case is formed again alone.
     """
-    cases = [draw(rng) for _ in range(trials)]
+    draws = draw_trials(rng, trials, draw)
     margins = np.empty(trials)
-    for idx in groups(map(key, cases)):
-        per = _slab_block(CASE_MATRICES, key(cases[idx[0]])[0])[0]
+    for idx in groups(map(key, draws)):
+        per = _slab_block(CASE_MATRICES, key(draws[idx[0]])[0])[0]
         for start in range(0, len(idx), per):
             part = idx[start:start + per]
-            margins[part] = margins_of([cases[i] for i in part])
-    return report(name, margins, lambda i: payload(cases[i]))
+            margins[part] = margins_of(form([draws[i] for i in part]))
+    return report(name, margins, lambda i: payload(form([draws[i]])[0]))
 
 
 def dim(case) -> tuple[int]:
     return (len(case[0]),)
 
 
+def matrix_dim(draw) -> tuple[int]:
+    """(n,) of a draw_matrix draw."""
+    return (len(draw[1]),)
+
+
 def stack(cases, field: int = 0) -> np.ndarray:
     return np.stack([case[field] for case in cases])
+
+
+def fields(draws) -> tuple:
+    """Each field of draws of one shape, stacked along a new first axis."""
+    return tuple(np.array(field) for field in zip(*draws))
+
+
+def matrices(draws) -> np.ndarray:
+    """The stacked random_matrix of draw_matrix draws of one shape."""
+    return form_matrices(*fields(draws))
+
+
+def matrix_cases(draws) -> list:
+    """The one-matrix cases (m,) of draw_matrix draws of one shape."""
+    return [(m,) for m in matrices(draws)]
 
 
 class Build(NamedTuple):
@@ -99,10 +129,27 @@ class Build(NamedTuple):
     N: int
 
 
-def build_lemma(name: str, rng, trials: int, draw, margins_of) -> LemmaResult:
-    """run_trials over Build cases, evaluated by (n, N)."""
-    return run_trials(name, rng, trials, draw, lambda c: (len(c.a), c.N), margins_of,
-                      lambda c: as_payload(a=c.a, b=c.b, N=c.N))
+class BuildDraw(NamedTuple):
+    """One builder trial as drawn: the dimension, the draws of the pair, the step count."""
+
+    n: int
+    a: tuple
+    b: tuple | None
+    N: int
+
+
+def build_lemma(name: str, rng, trials: int, draw, form_pairs, margins_of) -> LemmaResult:
+    """run_trials over Build cases, evaluated by (n, N).
+
+    draw(rng) gives a BuildDraw; form_pairs(draws) gives the stacked a and b
+    of a list of BuildDraws.
+    """
+    def form(draws):
+        a, b = form_pairs(draws)
+        return [Build(x, y, d.N) for x, y, d in zip(a, b, draws)]
+
+    return run_trials(name, rng, trials, draw, lambda d: (d.n, d.N), margins_of,
+                      lambda c: as_payload(a=c.a, b=c.b, N=c.N), form)
 
 
 def blocks(cases: list[Build], peak_bytes):

@@ -5,30 +5,34 @@ import numpy as np
 from .. import sampling
 from ..linalg import batched_operator_norms, matrix_exp
 from ..spectral import CLUSTER_TOL, _decompose_stack, scaled_exp
-from .harness import LemmaResult, as_payload, dim, groups, run_trials, stack
+from .harness import LemmaResult, as_payload, dim, fields, groups, run_trials, stack
 
 
-def _gapped_hermitian(rng, max_dim, min_gap):
-    n = int(rng.integers(2, max_dim + 1))
-    lam = sampling.spaced_values(rng, n, min_gap=max(min_gap, 0.05))
-    return sampling.hermitian_with_spectrum(rng, lam)
-
-
-def _spectral_lemma(name, rng, trials, max_dim, min_gap, margins_of, extra=None,
+def _spectral_lemma(name, rng, trials, max_dim, min_gap, margins_of, extra=None, form_extras=list,
                     payload=lambda a, more: as_payload(a=a)) -> LemmaResult:
-    """A lemma on one gapped Hermitian a per trial, and extra(rng, a) drawn right after it.
+    """A lemma on one gapped Hermitian a per trial, and extra(rng, n) drawn right after it.
 
-    margins_of(a, decompositions, extras) gets the stacked a of one size.
+    a is hermitian_with_spectrum(rng, spaced_values(rng, n, gap)) for n in
+    2..max_dim, gap = max(min_gap, 0.05); form_extras(extra draws) forms the
+    extras of one size. margins_of(a, decompositions, extras) gets the
+    stacked a of one size.
     """
     def draw(rng):
-        a = _gapped_hermitian(rng, max_dim, min_gap)
-        return a, None if extra is None else extra(rng, a)
+        n = int(rng.integers(2, max_dim + 1))
+        spectrum, unitary = sampling.draw_spaced(rng, n), sampling.draw_unitary(rng, n)
+        return spectrum, *unitary, None if extra is None else extra(rng, n)
+
+    def form(draws):
+        spectra, re, im = fields(d[:3] for d in draws)
+        lam = sampling.form_spaced(spectra, max(min_gap, 0.05))
+        a = sampling.form_with_spectrum(lam, sampling.form_unitaries(re, im))
+        return list(zip(a, form_extras([d[3] for d in draws])))
 
     def margins(cases):
         a = stack(cases)
         return margins_of(a, _decompose_stack(a, CLUSTER_TOL), [case[1] for case in cases])
 
-    return run_trials(name, rng, trials, draw, dim, margins, lambda c: payload(*c))
+    return run_trials(name, rng, trials, draw, dim, margins, lambda c: payload(*c), form)
 
 
 def _cluster_groups(decs):
@@ -82,7 +86,7 @@ def lemma_eigen_identity(rng, trials, max_dim, min_gap=0.0):
 
 
 def lemma_scaled_exp_agreement(rng, trials, max_dim, min_gap=0.0):
-    def extra(rng, a):
+    def extra(rng, n):
         return complex(rng.uniform(-2, 2), rng.uniform(-1, 1)), int(rng.integers(1, 9))
 
     def margins_of(a, decs, extras):
@@ -95,13 +99,15 @@ def lemma_scaled_exp_agreement(rng, trials, max_dim, min_gap=0.0):
         return as_payload(a=a, t_re=t.real, t_im=t.imag, scale=scale)
 
     return _spectral_lemma("scaled-exp-agreement", rng, trials, max_dim, min_gap, margins_of,
-                           extra, payload)
+                           extra, payload=payload)
 
 
 def lemma_rayleigh_containment(rng, trials, max_dim, min_gap=0.0):
-    def extra(rng, a):
-        v = sampling.unit_disc_entries(rng, a.shape[0])
-        return v / np.linalg.norm(v)
+    def unit_vectors(draws):
+        """unit_disc_entries(rng, n) over its norm, np.linalg.norm's dot products in stacked form."""
+        v = sampling.form_disc(*fields(draws))
+        norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+        return v / norms[:, np.newaxis]
 
     def margins_of(a, decs, vs):
         out = []
@@ -111,4 +117,4 @@ def lemma_rayleigh_containment(rng, trials, max_dim, min_gap=0.0):
         return out
 
     return _spectral_lemma("rayleigh-containment", rng, trials, max_dim, min_gap, margins_of,
-                           extra)
+                           sampling.draw_polar, unit_vectors)

@@ -5,43 +5,50 @@ import math
 import numpy as np
 
 from .. import sampling
-from ..linalg import batched_operator_norms, matrix_exp, operator_norm
-from ..norms import check_exp_monotone, is_subordinate, norm_majorant, rank_one_exp
-from .harness import as_payload, dim, run_trials, stack
+from ..linalg import batched_operator_norms, matrix_exp
+from ..norms import _exp_monotone, _majorants, _subordinations, rank_one_exp
+from .harness import as_payload, dim, fields, matrices, matrix_cases, matrix_dim, run_trials, stack
 
 
-def _witness_margin(witness, majorant) -> float:
-    return witness.slack + 1e-12 * max(1.0, operator_norm(majorant))
+def _witness_margins(slack, majorant) -> np.ndarray:
+    """Each witness slack + 1e-12 max(1, ||majorant||), the norms of the (k, n, n) majorants in one stacked SVD."""
+    return slack + 1e-12 * np.maximum(1.0, batched_operator_norms(majorant))
 
+
+def _dominated(draws) -> list:
+    """(s, m) of (s, fractions, phases) draws, m = random_subordinate_to(rng, s) of one s or a stack of them."""
+    s, fraction, phase = fields(draws)
+    return list(zip(s, sampling.form_subordinate(s, fraction, phase)))
 
 
 def lemma_majorant_dominates(rng, trials, max_dim, min_gap=0.0):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
-        return (sampling.random_matrix(rng, n, scale=float(rng.uniform(0.1, 2.0))),)
+        return sampling.draw_matrix(rng, n, scale=float(rng.uniform(0.1, 2.0)))
 
     def margins(cases):
-        out = []
-        for (b,) in cases:
-            s = norm_majorant(b)
-            out.append(_witness_margin(is_subordinate(b, s), s))
-        return out
+        b = stack(cases)
+        s = _majorants(b)
+        return _witness_margins(_subordinations(b, s)[2], s)
 
-    return run_trials("majorant-dominates", rng, trials, draw, dim, margins,
-                      lambda c: as_payload(b=c[0]))
+    return run_trials("majorant-dominates", rng, trials, draw, matrix_dim, margins,
+                      lambda c: as_payload(b=c[0]), matrix_cases)
 
 
 def lemma_majorant_norm_identities(rng, trials, max_dim, min_gap=0.0):
     def draw(rng):
         n = int(rng.integers(2, min(max_dim, 6) + 1))
-        b = sampling.scaled_to_norm(sampling.random_matrix(rng, n), float(rng.uniform(0.05, 5.0)))
-        return (b,)
+        return sampling.draw_matrix(rng, n), float(rng.uniform(0.05, 5.0))
+
+    def form(draws):
+        b = sampling.scaled_to_norm(matrices([d[0] for d in draws]), np.array([d[1] for d in draws]))
+        return [(x,) for x in b]
 
     def margins(cases):
         b = stack(cases)
         k, n = b.shape[:2]
         c = batched_operator_norms(b)
-        r = np.stack([norm_majorant(x) for x in b])
+        r = _majorants(b)
         closed = np.stack([rank_one_exp(x) for x in r])
         series = matrix_exp(r.astype(np.complex128)).real
         norms = batched_operator_norms(np.concatenate([r, closed, closed - series])).reshape(3, k)
@@ -55,15 +62,15 @@ def lemma_majorant_norm_identities(rng, trials, max_dim, min_gap=0.0):
             ))
         return out
 
-    return run_trials("majorant-norm-identities", rng, trials, draw, dim, margins,
-                      lambda c: as_payload(b=c[0]))
+    return run_trials("majorant-norm-identities", rng, trials, draw, lambda d: matrix_dim(d[0]),
+                      margins, lambda c: as_payload(b=c[0]), form)
 
 
 def lemma_norm_monotone(rng, trials, max_dim, min_gap=0.0):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
         s = sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 2.0)))
-        return sampling.random_subordinate_to(rng, s), s
+        return (s, *sampling.draw_polar(rng, s.shape))
 
     def margins(cases):
         norms = batched_operator_norms(np.concatenate([stack(cases, 1), stack(cases, 0)]))
@@ -71,7 +78,8 @@ def lemma_norm_monotone(rng, trials, max_dim, min_gap=0.0):
         return ns + 1e-10 - nm
 
     return run_trials("norm-monotone-under-domination", rng, trials, draw, dim, margins,
-                      lambda c: as_payload(m=c[0], s=c[1]))
+                      lambda c: as_payload(m=c[0], s=c[1]),
+                      lambda draws: [(m, s) for s, m in _dominated(draws)])
 
 
 def lemma_sum_product_closure(rng, trials, max_dim, min_gap=0.0):
@@ -82,39 +90,37 @@ def lemma_sum_product_closure(rng, trials, max_dim, min_gap=0.0):
             sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 1.5)))
             for _ in range(chain)
         ]
-        return dominators, [sampling.random_subordinate_to(rng, s) for s in dominators]
+        fractions, phases = zip(*[sampling.draw_polar(rng, s.shape) for s in dominators])
+        return dominators, fractions, phases
 
     def margins(cases):
-        out = []
-        for dominators, dominated in cases:
-            sum_s = np.add.reduce(np.stack(dominators), axis=0)
-            sum_m = np.add.reduce(np.stack(dominated), axis=0)
-            prod_s = dominators[0]
-            prod_m = dominated[0]
-            for s, m in zip(dominators[1:], dominated[1:]):
-                prod_s = prod_s @ s
-                prod_m = prod_m @ m
-            w_sum = is_subordinate(sum_m, sum_s)
-            w_prod = is_subordinate(prod_m, prod_s)
-            out.append(min(_witness_margin(w_sum, sum_s), _witness_margin(w_prod, prod_s)))
-        return out
+        # (k, chain, n, n) dominators and dominated; sums and products of each chain in order
+        s, m = stack(cases, 0), stack(cases, 1)
+        sum_s, sum_m = np.add.reduce(s, axis=1), np.add.reduce(m, axis=1)
+        prod_s, prod_m = s[:, 0], m[:, 0]
+        for j in range(1, s.shape[1]):
+            prod_s = prod_s @ s[:, j]
+            prod_m = prod_m @ m[:, j]
+        by_sum = _witness_margins(_subordinations(sum_m, sum_s)[2], sum_s)
+        by_prod = _witness_margins(_subordinations(prod_m, prod_s)[2], prod_s)
+        # min(by_sum, by_prod) as Python takes it, a NaN included
+        return np.where(by_prod < by_sum, by_prod, by_sum)
 
     return run_trials("domination-sum-product-closure", rng, trials, draw,
                       lambda c: (len(c[0][0]), len(c[0])), margins,
-                      lambda c: as_payload(s0=c[0][0], m0=c[1][0], chain=len(c[0])))
+                      lambda c: as_payload(s0=c[0][0], m0=c[1][0], chain=len(c[0])), _dominated)
 
 
 def lemma_exp_monotone(rng, trials, max_dim, min_gap=0.0):
     def draw(rng):
         n = int(rng.integers(2, min(max_dim, 6) + 1))
         x = sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 1.5)))
-        return x, sampling.random_subordinate_to(rng, x)
+        return (x, *sampling.draw_polar(rng, x.shape))
 
     def margins(cases):
-        ex = matrix_exp(stack(cases, 0).astype(np.complex128)).real
-        return [
-            _witness_margin(check_exp_monotone(x, y), e) for (x, y), e in zip(cases, ex)
-        ]
+        x, y = stack(cases, 0), stack(cases, 1)
+        ex = matrix_exp(x.astype(np.complex128)).real
+        return _witness_margins(_exp_monotone(x, y)[2], ex)
 
     return run_trials("exp-preserves-domination", rng, trials, draw, dim, margins,
-                      lambda c: as_payload(x=c[0], y=c[1]))
+                      lambda c: as_payload(x=c[0], y=c[1]), _dominated)

@@ -212,6 +212,29 @@ def test_booleans_and_strings_in_input_files_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "invalid input: matrix JSON: entries must be real numbers\n"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("measure", "matrix JSON: entries must be real numbers"),
+        ("location", "measure JSON: atom 0 has a bad location"),
+        ("weight", "measure JSON: atom 0 weight entries must be numbers"),
+    ],
+)
+def test_integers_beyond_the_float_range_in_input_files_exit_2(tmp_path, capsys, command, message):
+    huge = 10**400
+    path = tmp_path / "in.json"
+    if command == "measure":
+        path.write_text(json.dumps({"n": 1, "re": [[huge]]}), encoding="ascii")
+        argv = ["measure", "--a", str(path), "--b", str(path), "--steps", "2", "--out", str(tmp_path / "o.json")]
+    else:
+        location, entry = (huge, 1.0) if command == "location" else (0.5, huge)
+        atom = {"lambda": location, "weight": {"re": [[entry]], "im": [[0.0]]}}
+        path.write_text(json.dumps({"n": 1, "N": 1, "atoms": [atom]}), encoding="ascii")
+        argv = ["transform", "--measure", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
 def test_a_command_leaves_no_cyclic_garbage(tmp_path, pair_files, capsys):
     # JSON reads pause the collector, so cycles left by each call would pile up
     # between its rare full passes and raise the peak memory of a long session

@@ -265,6 +265,9 @@ def test_matrix_from_json_validation():
         {"n": 1, "re": [[True]], "im": [["2"]]},
         {"n": 1, "re": [["1"]]},
         {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, False], [0.0, 0.0]]},
+        # an integer beyond the float range is not a real number either
+        {"n": 1, "re": [[10**400]]},
+        {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, -(10**400)], [0.0, 0.0]]},
     ],
 )
 def test_matrix_from_json_refuses_booleans_and_strings(obj):

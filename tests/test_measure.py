@@ -350,6 +350,11 @@ def _identity_atom(lam=0.0):
          "atom 1 weight entries must be numbers"),
         # ragged rows with four entries in all
         ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0, 0.0], [1.0]]}}, "atom 1 weight entries must be numbers"),
+        # an integer beyond the float range, as a location and as an entry
+        ({"lambda": 10**400, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]]}}, "atom 1 has a bad location"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0], [0.0, -(10**400)]]}}, "atom 1 weight entries must be numbers"),
+        ({"lambda": 1.0, "weight": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[10**400, 0.0], [0.0, 0.0]]}},
+         "atom 1 weight entries must be numbers"),
     ],
 )
 def test_measure_from_json_malformed_atom(tmp_path, bad_atom, message):

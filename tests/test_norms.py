@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from liemeasure.linalg import matrix_exp, operator_norm, tuple_factor_products
 from liemeasure.norms import (
+    _exp_monotone,
+    _inverse_triangle_sums,
+    _majorants,
     _partition_products,
+    _subordinations,
     check_exp_monotone,
     inverse_triangle_sum,
     is_subordinate,
@@ -18,7 +22,7 @@ from liemeasure.norms import (
     rank_one_exp,
     total_variation_bound,
 )
-from liemeasure.sampling import random_diagonal_partition, random_matrix, random_nonneg
+from liemeasure.sampling import random_diagonal_partition, random_matrix, random_nonneg, random_subordinate_to
 
 
 def test_is_subordinate_basic():
@@ -101,6 +105,52 @@ def test_inverse_triangle_sum(rng):
     total = np.add.reduce(np.stack(parts), axis=0)
     assert rhs == pytest.approx(3 * operator_norm(total), abs=1e-12)
     assert lhs <= rhs + 1e-10
+
+
+def _old_witness(m, s):
+    """is_subordinate as it was written one pair at a time: the reference of the stacked core."""
+    diff = s - np.abs(m)
+    flat = int(np.argmin(diff))
+    slack = float(diff.flat[flat])
+    tol = 1e-12 * max(1.0, operator_norm(s))
+    return slack >= -tol, (flat // len(s), flat % len(s)), slack
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_stacked_subordination_cores_equal_one_at_a_time_bit_for_bit(rng, n):
+    k = 12
+    x = np.stack([random_nonneg(rng, n, scale=float(rng.uniform(0.1, 1.5))) for _ in range(k)])
+    y = np.stack([random_subordinate_to(rng, xi) for xi in x])
+    m = np.stack([random_matrix(rng, n, scale=1.2) for _ in range(k)])
+    # some pairs fail: m is not subordinate to every x
+    for got_m, got_s in ((y, x), (m, x), (m, _majorants(m))):
+        holds, flat, slack = _subordinations(got_m, got_s)
+        for i in range(k):
+            w = is_subordinate(got_m[i], got_s[i])
+            assert (w.holds, w.worst_pair, w.slack) == (bool(holds[i]), divmod(int(flat[i]), n), float(slack[i]))
+            assert (w.holds, w.worst_pair, w.slack) == _old_witness(got_m[i], got_s[i])
+    for mi, r in zip(m, _majorants(m)):
+        assert r.tobytes() == norm_majorant(mi).tobytes() == np.full((n, n), operator_norm(mi)).tobytes()
+    holds, flat, slack = _exp_monotone(x, y)
+    for i in range(k):
+        w = check_exp_monotone(x[i], y[i])
+        assert (w.holds, w.worst_pair, w.slack) == (bool(holds[i]), divmod(int(flat[i]), n), float(slack[i]))
+        ex = np.maximum(matrix_exp(x[i]).real, 0.0)
+        assert (w.holds, w.worst_pair, w.slack) == _old_witness(matrix_exp(y[i]), ex)
+    # the first pair whose y is not subordinate to x is named
+    bad = y.copy()
+    bad[[3, 7]] = 2 * x[[3, 7]] + 1.0
+    with pytest.raises(ValueError, match="^y is not subordinate to x") as err:
+        _exp_monotone(x, bad)
+    with pytest.raises(ValueError) as one:
+        check_exp_monotone(x[3], bad[3])
+    assert str(err.value) == str(one.value)
+    for parts in (x[:, np.newaxis], np.stack([x[:6], x[6:]], axis=1), np.stack([x[:4], x[4:8], x[8:]], axis=1)):
+        lhs, rhs = _inverse_triangle_sums(parts)
+        for got_lhs, got_rhs, p in zip(lhs, rhs, parts):
+            assert inverse_triangle_sum(p) == (float(got_lhs), float(got_rhs))
+            assert float(got_lhs) == sum(operator_norm(q) for q in p)
+            assert float(got_rhs) == n * operator_norm(np.add.reduce(p, axis=0))
 
 
 def test_partition_product_bound_trivial_partition(rng):

@@ -1,15 +1,21 @@
 """The verify harness: draw phase, first-failure reporter, stacked cores and memory."""
 
+import contextlib
 import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import liemeasure.approximant as approximant
 import liemeasure.verify as verify
 import liemeasure.verify.approximant as approximant_suite
 import liemeasure.verify.bounds as bounds_suite
+import liemeasure.verify.norms as norms_suite
+import liemeasure.verify.spectral as spectral_suite
+import liemeasure.verify.subordination as subordination_suite
+from liemeasure import sampling
 from liemeasure.approximant import (
     ApproximantConfig,
     _bruteforce_measures,
@@ -33,6 +39,7 @@ from liemeasure.measure import DiscreteMatrixMeasure
 from liemeasure.sampling import hermitian_with_spectrum, random_hermitian, random_matrix, spaced_values
 from liemeasure.spectral import _decompose_stack, decompose
 from liemeasure.verify import SUITES, _LEMMA_INDEX, run_lemma, run_suite
+from liemeasure.verify import harness
 from liemeasure.verify.harness import report
 
 # rng.integers(2**63) after each lemma's 50 trials at seeds 1 and 2, as the
@@ -75,6 +82,76 @@ def test_draw_phase_leaves_the_generator_where_the_trial_loop_did(fn, seed):
     rng = np.random.default_rng([seed, _LEMMA_INDEX[fn]])
     assert fn(rng, 50, 4, 0.0).passed
     assert int(rng.integers(2**63)) == DRAW_PINS[fn.__name__][seed - 1]
+
+
+def _linear_algebra_routines():
+    """(module, name) of every function of numpy.linalg and scipy.linalg."""
+    for module in (np.linalg, scipy.linalg):
+        for name in dir(module):
+            obj = getattr(module, name)
+            if not name.startswith("_") and callable(obj) and not isinstance(obj, type):
+                yield module, name
+
+
+@contextlib.contextmanager
+def _no_linear_algebra():
+    """Every numpy.linalg and scipy.linalg function raises while the block runs."""
+    saved = list(_linear_algebra_routines())
+    assert len(saved) > 100
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear-algebra routine ran while a lemma drew")
+
+    originals = [(module, name, getattr(module, name)) for module, name in saved]
+    try:
+        for module, name in saved:
+            setattr(module, name, refuse)
+        yield
+    finally:
+        for module, name, obj in originals:
+            setattr(module, name, obj)
+
+
+def test_no_linear_algebra_runs_while_a_lemma_draws(monkeypatch):
+    drawn = []
+
+    def guarded(rng, trials, draw):
+        with _no_linear_algebra():
+            draws = real(rng, trials, draw)
+        drawn.append(len(draws))
+        return draws
+
+    real = harness.draw_trials
+    monkeypatch.setattr(harness, "draw_trials", guarded)
+    # the guard works: a formed instance needs a QR
+    with _no_linear_algebra(), pytest.raises(AssertionError, match="while a lemma drew"):
+        sampling.random_unitary(np.random.default_rng(1), 2)
+    for max_dim in (2, 6):
+        results = run_suite("all", 30, 3, max_dim)
+        assert all(res.passed for res in results) and len(results) == 22
+    assert drawn == [30] * 44
+
+
+def test_a_failure_replays_the_case_its_stack_evaluated(monkeypatch):
+    # a replay forms its trial alone; it must be the case that was formed in a stack
+    checked = []
+
+    def spy(name, rng, trials, draw, key, margins_of, payload, form=list):
+        copy = np.random.default_rng()
+        copy.bit_generator.state = rng.bit_generator.state
+        draws = [draw(copy) for _ in range(trials)]
+        for idx in harness.groups(map(key, draws)):
+            for i, case in zip(idx, form([draws[j] for j in idx])):
+                assert canonical_json(payload(case)) == canonical_json(payload(form([draws[i]])[0]))
+        checked.append(name)
+        return real(name, rng, trials, draw, key, margins_of, payload, form)
+
+    real = harness.run_trials
+    for module in (harness, norms_suite, subordination_suite, bounds_suite, spectral_suite):
+        monkeypatch.setattr(module, "run_trials", spy)
+    results = run_suite("all", 40, 5, 6)
+    assert all(res.passed for res in results)
+    assert checked == [res.name for res in results]
 
 
 # ---------------------------------------------------------------- reporter
