@@ -15,9 +15,10 @@ measure whose bilateral Laplace transform is exactly L_N. Two builders are
 provided: exhaustive enumeration over the l^N tuples (the oracle), and
 evaluation of the step polynomial on a roots-of-unity torus in a's eigenbasis,
 slab by slab into one grid array, followed by one in-place inverse FFT
-(build_measure_dp, the production builder). Each builder predicts its peak
-array bytes from N, l and n and refuses, before allocating, a build that
-would exceed linalg.BYTE_BUDGET.
+(build_measure_dp, the production builder). Both share one composition
+index: a composition's cell is its counts in base N+1, the torus grid's
+C-order index. Each builder predicts its peak array bytes from N, l and n
+and refuses, before allocating, a build that would exceed linalg.BYTE_BUDGET.
 """
 
 import math
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _guarded_binomial,
     as_int,
     as_matrix_pair,
     guarded_count,
@@ -81,12 +83,12 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
     Built part by part: each row splits its remainder, held in the last
     column, into every value of the next part. Refused, before allocating,
-    when the predicted peak bytes exceed linalg.BYTE_BUDGET; the message
-    names the composition grid {0..total}^(parts-1) the rows lie on.
+    when the predicted peak bytes of the C(total+parts-1, parts-1) rows
+    exceed linalg.BYTE_BUDGET.
     """
     total, parts = as_int(total, "total", 0), as_int(parts, "parts")
-    guarded_count("composition-grid points", total + 1, parts - 1,
-                  peak_bytes=lambda _: _compositions_peak_bytes(total, parts))
+    _guarded_binomial("compositions", total + parts - 1, parts - 1,
+                      peak_bytes=lambda _: _compositions_peak_bytes(total, parts))
     rows = np.zeros((1, parts), dtype=np.int64)
     rows[0, -1] = total
     for j in range(parts - 1):
@@ -194,15 +196,21 @@ def _merge_starts(locs: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(np.concatenate((starts, np.array(splits, dtype=starts.dtype))))
 
 
-def _sorted_locations(counts: np.ndarray, decs: list[SpectralDecomposition], n_steps: int):
-    """Each decomposition's locations of lexicographic composition rows, stably sorted, and the orders.
+def _composition_index(counts: np.ndarray, decs: list[SpectralDecomposition], n_steps: int):
+    """(sorted locations, stable sort orders, cells, radix) of the rows of compositions(n_steps, l).
 
-    Both are (k, rows) arrays. Lexicographic rows make the stable sort (and
-    therefore the merge) identical across builders.
+    Locations and orders are (k, rows), one row per decomposition; both
+    builders sort here, so their merges agree. A row's cell is counts @ radix,
+    radix = [(N+1)**(l-2), ..., 1, 0]: its counts of clusters 0..l-2 as digits
+    in base N+1, the C-order index of its torus grid point. Cells increase
+    with the rows, and are Python ints once (N+1)**(l-1) passes 2**63.
     """
+    base, l = n_steps + 1, counts.shape[1]
+    radix = np.array([base ** (l - 2 - j) for j in range(l - 1)] + [0],
+                     dtype=object if base ** (l - 1) > 2**63 else np.int64)
     locs = composition_locations(counts, np.stack([d.eigenvalues for d in decs]), n_steps)
     order = np.argsort(locs, axis=1, kind="stable")
-    return np.take_along_axis(locs, order, axis=1), order
+    return np.take_along_axis(locs, order, axis=1), order, counts @ radix, radix
 
 
 def _collapse(
@@ -242,28 +250,17 @@ def _tuple_products(decs, steps: np.ndarray, n_steps: int) -> np.ndarray:
     return tuple_factor_products(factors, n_steps)
 
 
-def _group_compositions(l: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct composition rows in lexicographic order, each tuple's row) of the l**n_steps index tuples.
+def _tuple_rows(cells: np.ndarray, radix: np.ndarray, n_steps: int) -> np.ndarray:
+    """Each index tuple's composition row, from _composition_index's cells and radix.
 
-    Tuples run in lexicographic order, as in tuple_factor_products. The pair is
-    np.unique(counts, axis=0, return_inverse=True) of the tuples' (K, l) count
-    rows, through one integer code per tuple: its counts of clusters 0..l-2 as
-    digits in base n_steps+1, which order as the rows do. A tuple's code is its
-    prefix's code plus its last index's digit, so the codes are built level by
-    level. Codes past int64 are Python ints.
+    Tuples run in lexicographic order, as in tuple_factor_products. A tuple's
+    cell is its prefix's cell plus its last index's radix digit, so the
+    cells are built level by level, then found among the compositions'.
     """
-    base = n_steps + 1
-    wide = base ** (l - 1) > 2**63  # every code is below base**(l-1)
-    radix = np.array([base ** (l - 2 - j) for j in range(l - 1)] + [0], dtype=object if wide else np.int64)
     codes = np.zeros(1, dtype=radix.dtype)
     for _ in range(n_steps):
         codes = (codes[:, np.newaxis] + radix).reshape(-1)
-    codes, inverse = np.unique(codes, return_inverse=True)
-    counts = np.empty((codes.size, l), dtype=np.int64)
-    for j in range(l - 1):
-        counts[:, j] = codes // radix[j] % base
-    counts[:, -1] = n_steps - counts[:, :-1].sum(axis=1)
-    return counts, inverse
+    return np.searchsorted(cells, codes)
 
 
 def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[DiscreteMatrixMeasure]:
@@ -271,8 +268,8 @@ def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> lis
 
     Each measure is bit for bit its own call's. The products of all k are
     alive at once, beside a few int64 numbers per tuple, so the peak is
-    linalg._tuple_peak_bytes(l, N, n, k) and callers stack about
-    _slab_block(l**N, n)[0] instances.
+    linalg._tuple_peak_bytes(l, N, n, k) and callers stack as many
+    instances as one slab holds of that peak.
     """
     return _grouped_measures(_tuple_products(decs, steps, cfg.N), decs, cfg)
 
@@ -280,39 +277,38 @@ def _bruteforce_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> lis
 def _grouped_measures(prods: np.ndarray, decs, cfg: ApproximantConfig) -> list[DiscreteMatrixMeasure]:
     """_bruteforce_measures from its products: each tuple's product is added to its composition's weight."""
     k, _, n = prods.shape[:3]
-    counts, inverse = _group_compositions(len(decs[0]), cfg.N)
-    cells = len(counts)
-    grouped = np.zeros((k, cells, n, n), dtype=np.complex128)
-    targets = inverse.reshape(1, -1) + cells * np.arange(k)[:, np.newaxis]
-    np.add.at(grouped.reshape(k * cells, n, n), targets.reshape(-1), prods.reshape(-1, n, n))
-    locs, order = _sorted_locations(counts, decs, cfg.N)
+    locs, order, cells, radix = _composition_index(compositions(cfg.N, len(decs[0])), decs, cfg.N)
+    rows = len(cells)
+    grouped = np.zeros((k, rows, n, n), dtype=np.complex128)
+    targets = _tuple_rows(cells, radix, cfg.N) + rows * np.arange(k)[:, np.newaxis]
+    np.add.at(grouped.reshape(k * rows, n, n), targets.reshape(-1), prods.reshape(-1, n, n))
     return [_collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce") for i in range(k)]
 
 
-_SLAB_BYTES = 1 << 18  # the builders work on about this many bytes of matrices at a time
+_SLAB_BYTES = 1 << 18  # the builders and the verify harness work on about this many bytes at a time
 
 
-def _slab_len(n: int) -> int:
-    return max(1, _SLAB_BYTES // (16 * n * n))
+def _slabs(k: int, count: int, item_bytes: int):
+    """(instances, items) slices over k instances of count items of item_bytes each, a slab at a time.
 
-
-def _slab_block(count: int, n: int) -> tuple[int, int]:
-    """(instances, items) per block of at most one slab, for instances of count (n, n) matrices each.
-
-    Whole instances share a block while they fit; a larger instance is cut
-    into blocks of one slab of its matrices.
+    Whole instances share a block while they fit _SLAB_BYTES; a larger
+    instance is cut into blocks of as many items as fit, one at least.
     """
-    slab = _slab_len(n)
-    return max(1, slab // count), min(count, slab)
+    per = max(1, _SLAB_BYTES // (item_bytes * count))
+    width = min(count, max(1, _SLAB_BYTES // item_bytes))
+    for i in range(0, k, per):
+        for start in range(0, count, width):
+            yield slice(i, min(i + per, k)), slice(start, min(start + width, count))
 
 
 def _torus_peak_bytes(l: int, n_steps: int, n: int, k: int = 1) -> int:
     """Predicted peak bytes of the torus builder for k instances of l clusters, n_steps and dimension n."""
     points = (n_steps + 1) ** (l - 1)
     atoms = math.comb(n_steps + l - 1, l - 1)
+    slab = next(_slabs(1, k * points, 16 * n * n))[1].stop  # the matrices of one slab
     # the grids, the outputs, the slabs alive inside one matrix_power, and each
     # output atom's location and grid cell
-    return 16 * n * n * (k * (points + atoms) + 4 * min(k * points, _slab_len(n))) + 16 * k * atoms
+    return 16 * n * n * (k * (points + atoms) + 4 * slab) + 16 * k * atoms
 
 
 def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
@@ -342,8 +338,8 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
     The k grids form one array with a leading instance axis; whole instances
     share a slab of matrix powers and of rotations while their grids fit one,
     and each measure is bit for bit its own call's. The grids and outputs of
-    all k are alive at once, so callers stack about _slab_block(grid points, n)[0]
-    instances; the guard predicts the peak of all k.
+    all k are alive at once, so callers stack as many instances as one slab
+    holds of a build's peak; the guard predicts the peak of all k.
     """
     k, n = steps.shape[:2]
     l, big_n = len(decs[0]), cfg.N
@@ -352,35 +348,26 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
     vecs = np.stack([d.vectors for d in decs])
     adj = vecs.conj().swapaxes(1, 2)
     labels = np.stack([d.labels for d in decs])
-    strides = (big_n + 1) ** np.arange(l - 2, -1, -1)  # of the grid's axes, in C order
-    counts = compositions(big_n, l)
-    locs, order = _sorted_locations(counts, decs, big_n)
-    cells = (counts[:, :-1] @ strides)[order]  # each atom's grid cell, in location order
-    del counts, order
+    locs, order, cells, radix = _composition_index(compositions(big_n, l), decs, big_n)
+    cells = cells[order]  # each atom's grid cell, in location order
+    del order
     grid = np.empty((k,) + (big_n + 1,) * (l - 1) + (n, n), dtype=np.complex128)
     flat = grid.reshape(k, points, n, n)
     rotated_step = adj @ steps @ vecs
     # one root per index of a grid axis; a one-cluster grid has no axes and reads z = 1 alone
     roots = np.exp(-2j * np.pi * np.arange(big_n + 1 if l > 1 else 1) / (big_n + 1))
-    per, width = _slab_block(points, n)
-    for i in range(0, k, per):
-        for start in range(0, points, width):
-            idx = np.arange(start, min(start + width, points)) // strides[:, np.newaxis] % (big_n + 1)
-            # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
-            expo = np.vstack([idx, np.zeros((1, idx.shape[1]), dtype=idx.dtype)])[labels[i:i + per]]
-            flat[i:i + per, start:start + width] = np.linalg.matrix_power(
-                roots[expo.swapaxes(1, 2)][..., np.newaxis] * rotated_step[i:i + per, np.newaxis], big_n
-            )
+    for inst, items in _slabs(k, points, 16 * n * n):
+        idx = np.arange(*items.indices(points)) // radix[:-1, np.newaxis] % (big_n + 1)
+        # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
+        expo = np.vstack([idx, np.zeros((1, idx.shape[1]), dtype=idx.dtype)])[labels[inst]]
+        flat[inst, items] = np.linalg.matrix_power(
+            roots[expo.swapaxes(1, 2)][..., np.newaxis] * rotated_step[inst, np.newaxis], big_n
+        )
     np.fft.ifftn(grid, axes=tuple(range(1, l)), out=grid)
     atoms = cells.shape[1]
     weights = np.empty((k, atoms, n, n), dtype=np.complex128)
-    per, width = _slab_block(atoms, n)
-    for i in range(0, k, per):
-        for start in range(0, atoms, width):
-            block = cells[i:i + per, start:start + width]
-            rows = np.arange(i, i + block.shape[0])[:, np.newaxis]
-            weights[i:i + per, start:start + width] = (
-                vecs[i:i + per, np.newaxis] @ flat[rows, block] @ adj[i:i + per, np.newaxis]
-            )
+    for inst, items in _slabs(k, atoms, 16 * n * n):
+        rows = np.arange(*inst.indices(k))[:, np.newaxis]
+        weights[inst, items] = vecs[inst, np.newaxis] @ flat[rows, cells[inst, items]] @ adj[inst, np.newaxis]
     del grid, flat
     return [_collapse(locs[i], weights[i], decs[i], cfg, "dp") for i in range(k)]

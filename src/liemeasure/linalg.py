@@ -57,20 +57,36 @@ def guarded_count(what: str, base: int, exponent: int, limit: int | None = None,
     of the count that predicts the caller's peak array bytes, that prediction may
     not exceed BYTE_BUDGET, and a refusal names the prediction and the budget.
     """
-    count = base if exponent == 1 else f"{base}**{exponent}"
+    label = f"{what}: {base if exponent == 1 else f'{base}**{exponent}'}"
     # log space first: a refused count may be too large to form, let alone format
     log_count = exponent * math.log(base) if base > 1 else 0.0
     if peak_bytes is None:
         if log_count > math.log(limit) + 1e-9 or base**exponent > limit:
-            raise ResourceLimitError(f"{what}: {count} exceeds the limit of {limit}")
+            raise ResourceLimitError(f"{label} exceeds the limit of {limit}")
         return base**exponent
-    # no array can hold more than 2**63 items; below that, form the count and predict
+    return _guarded_bytes(label, log_count, lambda: base**exponent, peak_bytes)
+
+
+def _guarded_binomial(what: str, n: int, k: int, *, peak_bytes) -> int:
+    """C(n, k) for 0 <= k <= n, guarded as guarded_count guards a power; a refusal names it C(n, k)."""
+    j = min(k, n - k)
+    # C(n, j) >= (n/j)**j >= 2**j: a count this bound lets through has j <= 63, so it is cheap to form
+    log_bound = j * (math.log(n) - math.log(j)) if j else 0.0
+    return _guarded_bytes(f"{what}: C({n}, {k})", log_bound, lambda: math.comb(n, j), peak_bytes)
+
+
+def _guarded_bytes(label: str, log_count: float, count, peak_bytes) -> int:
+    """count(), unless peak_bytes of it passes BYTE_BUDGET; log_count is the count's log or a lower bound.
+
+    No array holds more than 2**63 items: past that the count is never formed, nor formatted.
+    """
     if log_count > 63 * math.log(2):
-        raise ResourceLimitError(f"{what}: {count} would need more than the budget of {BYTE_BUDGET} bytes")
-    need = peak_bytes(base**exponent)
+        raise ResourceLimitError(f"{label} would need more than the budget of {BYTE_BUDGET} bytes")
+    value = count()
+    need = peak_bytes(value)
     if need > BYTE_BUDGET:
-        raise ResourceLimitError(f"{what}: {count} would need {need} bytes, over the budget of {BYTE_BUDGET} bytes")
-    return base**exponent
+        raise ResourceLimitError(f"{label} would need {need} bytes, over the budget of {BYTE_BUDGET} bytes")
+    return value
 
 
 def as_int(value, name: str, minimum: int = 1, context: str = "") -> int:

@@ -71,20 +71,23 @@ def is_subordinate(m, s) -> SubordinationWitness:
     b = _require_entrywise_nonneg(s, "s")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    holds, flat, slack = _subordinations(a[np.newaxis], b[np.newaxis])
+    holds, flat, slack, _ = _subordinations(a[np.newaxis], b[np.newaxis])
     return _witness(holds[0], flat[0], slack[0], a.shape[0])
 
 
 def _subordinations(m: np.ndarray, s: np.ndarray):
     """is_subordinate of each pair of (k, n, n) stacks m and s, unchecked, the norms of s in one stacked SVD.
 
-    Returns (holds, flat index of a worst entry, slack), each of shape (k,),
-    each pair's values bit for bit its own call's.
+    Returns (holds, flat index of a worst entry, slack, margin), each of
+    shape (k,), each pair's values bit for bit its own call's. The rounding
+    allowance is the floor -1e-12 max(1, ||s||): a pair holds when its slack
+    reaches the floor, and its margin is slack - floor.
     """
     diff = (s - np.abs(m)).reshape(len(m), -1)
     flat = diff.argmin(axis=1)
     slack = diff[np.arange(len(diff)), flat]
-    return slack >= -1e-12 * np.maximum(1.0, batched_operator_norms(s)), flat, slack
+    floor = -1e-12 * np.maximum(1.0, batched_operator_norms(s))
+    return slack >= floor, flat, slack, slack - floor
 
 
 def _witness(holds, flat, slack, n: int) -> SubordinationWitness:
@@ -133,7 +136,7 @@ def check_exp_monotone(x, y) -> SubordinationWitness:
     ym = as_matrix(y, "m")
     if ym.shape != xr.shape:
         raise ValueError(f"dimension mismatch: {ym.shape} vs {xr.shape}")
-    holds, flat, slack = _exp_monotone(xr[np.newaxis], ym[np.newaxis])
+    holds, flat, slack, _ = _exp_monotone(xr[np.newaxis], ym[np.newaxis])
     return _witness(holds[0], flat[0], slack[0], xr.shape[0])
 
 
@@ -144,7 +147,7 @@ def _exp_monotone(x: np.ndarray, y: np.ndarray):
     bit its own call's; ValueError names the first pair whose y is not
     subordinate to x.
     """
-    holds, flat, slack = _subordinations(y, x)
+    holds, flat, slack, _ = _subordinations(y, x)
     if not holds.all():
         pre = _witness(False, flat[~holds][0], slack[~holds][0], x.shape[1])
         raise ValueError(

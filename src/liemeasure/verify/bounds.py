@@ -3,7 +3,7 @@
 import numpy as np
 
 from .. import sampling
-from ..approximant import _SLAB_BYTES, _grouped_measures, _tuple_products
+from ..approximant import _grouped_measures, _slabs, _tuple_products
 from ..linalg import _tuple_norm_sums, _tuple_peak_bytes
 from ..measure import total_variation
 from ..norms import _partition_products, total_variation_bound
@@ -54,9 +54,7 @@ def lemma_partition_product_bound(rng, trials, max_dim, min_gap=0.0):
         n_steps = cases[0][2]
         k, l, n = projectors.shape[:3]
         out = np.empty(k)
-        per = max(1, _SLAB_BYTES // _tuple_peak_bytes(l, n_steps, n))
-        for start in range(0, k, per):
-            part = slice(start, start + per)
+        for part, _ in _slabs(k, 1, _tuple_peak_bytes(l, n_steps, n)):
             sums, bounds, gaps = _partition_products(projectors[part], r[part], n_steps)
             out[part] = np.minimum(bounds + 1e-8 - sums, 1e-9 - gaps)
         return out

@@ -16,14 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..approximant import (
-    _SLAB_BYTES,
-    ApproximantConfig,
-    _prepare,
-    _slab_block,
-    _torus_measures,
-    _torus_peak_bytes,
-)
+from ..approximant import ApproximantConfig, _prepare, _slabs, _torus_measures, _torus_peak_bytes
 from ..linalg import matrix_to_json
 from ..sampling import form_matrices
 
@@ -80,15 +73,15 @@ def run_trials(name: str, rng, trials: int, draw, key, margins_of, payload, form
     tuple whose first entry is the matrix dimension n; form(draws) makes the
     cases of a list of draws that share a key, in stacked calls (by default
     a draw is its case); margins_of(cases) gives their margins, at most one
-    slab of CASE_MATRICES each; payload(case) is a failure's replay, whose
-    case is formed again alone.
+    slab of cases of CASE_MATRICES each; payload(case) is a failure's
+    replay, whose case is formed again alone.
     """
     draws = draw_trials(rng, trials, draw)
     margins = np.empty(trials)
     for idx in groups(map(key, draws)):
-        per = _slab_block(CASE_MATRICES, key(draws[idx[0]])[0])[0]
-        for start in range(0, len(idx), per):
-            part = idx[start:start + per]
+        n = key(draws[idx[0]])[0]
+        for block, _ in _slabs(len(idx), 1, CASE_MATRICES * 16 * n * n):
+            part = idx[block]
             margins[part] = margins_of(form([draws[i] for i in part]))
     return report(name, margins, lambda i: payload(form([draws[i]])[0]))
 
@@ -164,9 +157,8 @@ def blocks(cases: list[Build], peak_bytes):
     decs, steps = _prepare(stack(cases, 0), stack(cases, 1), cfg)
     n = steps.shape[1]
     for idx in groups(len(d) for d in decs):
-        per = max(1, _SLAB_BYTES // peak_bytes(len(decs[idx[0]]), cfg.N, n))
-        for start in range(0, len(idx), per):
-            part = idx[start:start + per]
+        for block, _ in _slabs(len(idx), 1, peak_bytes(len(decs[idx[0]]), cfg.N, n)):
+            part = idx[block]
             yield part, [decs[i] for i in part], steps[part], cfg
 
 

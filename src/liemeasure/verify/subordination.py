@@ -10,11 +10,6 @@ from ..norms import _exp_monotone, _majorants, _subordinations, rank_one_exp
 from .harness import as_payload, dim, fields, matrices, matrix_cases, matrix_dim, run_trials, stack
 
 
-def _witness_margins(slack, majorant) -> np.ndarray:
-    """Each witness slack + 1e-12 max(1, ||majorant||), the norms of the (k, n, n) majorants in one stacked SVD."""
-    return slack + 1e-12 * np.maximum(1.0, batched_operator_norms(majorant))
-
-
 def _dominated(draws) -> list:
     """(s, m) of (s, fractions, phases) draws, m = random_subordinate_to(rng, s) of one s or a stack of them."""
     s, fraction, phase = fields(draws)
@@ -28,8 +23,7 @@ def lemma_majorant_dominates(rng, trials, max_dim, min_gap=0.0):
 
     def margins(cases):
         b = stack(cases)
-        s = _majorants(b)
-        return _witness_margins(_subordinations(b, s)[2], s)
+        return _subordinations(b, _majorants(b))[3]
 
     return run_trials("majorant-dominates", rng, trials, draw, matrix_dim, margins,
                       lambda c: as_payload(b=c[0]), matrix_cases)
@@ -101,8 +95,8 @@ def lemma_sum_product_closure(rng, trials, max_dim, min_gap=0.0):
         for j in range(1, s.shape[1]):
             prod_s = prod_s @ s[:, j]
             prod_m = prod_m @ m[:, j]
-        by_sum = _witness_margins(_subordinations(sum_m, sum_s)[2], sum_s)
-        by_prod = _witness_margins(_subordinations(prod_m, prod_s)[2], prod_s)
+        by_sum = _subordinations(sum_m, sum_s)[3]
+        by_prod = _subordinations(prod_m, prod_s)[3]
         # min(by_sum, by_prod) as Python takes it, a NaN included
         return np.where(by_prod < by_sum, by_prod, by_sum)
 
@@ -118,9 +112,7 @@ def lemma_exp_monotone(rng, trials, max_dim, min_gap=0.0):
         return (x, *sampling.draw_polar(rng, x.shape))
 
     def margins(cases):
-        x, y = stack(cases, 0), stack(cases, 1)
-        ex = matrix_exp(x.astype(np.complex128)).real
-        return _witness_margins(_exp_monotone(x, y)[2], ex)
+        return _exp_monotone(stack(cases, 0), stack(cases, 1))[3]
 
     return run_trials("exp-preserves-domination", rng, trials, draw, dim, margins,
                       lambda c: as_payload(x=c[0], y=c[1]), _dominated)

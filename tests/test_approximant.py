@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from liemeasure.approximant import (
     ApproximantConfig,
-    _group_compositions,
+    _composition_index,
     _merge_starts,
+    _tuple_rows,
     build_measure_bruteforce,
     build_measure_dp,
     commuting_case_measure,
@@ -149,10 +150,14 @@ def _unique_count_rows(l, n_steps):
     return rows, inverse.reshape(-1)
 
 
-# codes below 2**63 are int64, so (64, 1) is; (65, 1) and (70, 2) need Python-int codes
+# cells below 2**63 are int64, so (64, 1) is; (65, 1) and (70, 2) need Python-int cells
 @pytest.mark.parametrize("l, n_steps", [(1, 1), (1, 70), (2, 1), (2, 9), (3, 6), (4, 5), (64, 1), (65, 1), (70, 2)])
 def test_coded_grouping_matches_unique_count_rows(l, n_steps):
-    rows, inverse = _group_compositions(l, n_steps)
+    rows = compositions(n_steps, l)
+    dec = decompose(np.diag(np.arange(float(l))))
+    _, _, cells, radix = _composition_index(rows, [dec], n_steps)
+    assert cells.dtype == (object if (n_steps + 1) ** (l - 1) > 2**63 else np.int64)
+    inverse = _tuple_rows(cells, radix, n_steps)
     want_rows, want_inverse = _unique_count_rows(l, n_steps)
     assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
     assert inverse.tobytes() == want_inverse.astype(inverse.dtype).tobytes()

@@ -10,6 +10,7 @@ from liemeasure.approximant import (
     build_measure_dp,
     composition_locations,
     compositions,
+    n_convex_hull,
 )
 from liemeasure.experiments import convergence_study
 from liemeasure.linalg import BYTE_BUDGET, ResourceLimitError, _tuple_peak_bytes, guarded_count
@@ -66,7 +67,7 @@ def test_slab_builder_matches_the_one_shot_formula_byte_for_byte(rng, monkeypatc
     n_steps = STEPS[l]
     slab = (n_steps + 1) ** (l - 1) + slab_offset
     monkeypatch.setattr(approximant, "_SLAB_BYTES", 16 * n * n * slab)
-    assert approximant._slab_len(n) == slab
+    assert next(approximant._slabs(1, slab + 1, 16 * n * n)) == (slice(0, 1), slice(0, slab))
     a, b = _pair(rng, n, l)
     locs, weights = _one_shot(a, b, n_steps)
     m = build_measure_dp(a, b, ApproximantConfig(N=n_steps, merge_tol=0.0))
@@ -136,6 +137,16 @@ def test_compositions_peak_bytes_prediction(traced_peak, total, parts):
     _, peak = traced_peak(lambda: compositions(total, parts))
     predicted = approximant._compositions_peak_bytes(total, parts)
     assert peak <= predicted <= 2 * peak
+
+
+def test_compositions_are_guarded_on_their_own_count():
+    # 2,080 rows, though the grid {0, 1, 2}**63 they lie on has more points than any array
+    assert compositions(2, 64).shape == (2080, 64)
+    assert n_convex_hull(np.arange(64.0), 2).size == 127
+    # C(10**15 + 999, 999) has about 12,400 digits: refused without forming or formatting it
+    message = rf"^compositions: C\(1000000000000999, 999\) would need more than the budget of {BYTE_BUDGET} bytes$"
+    with pytest.raises(ResourceLimitError, match=message):
+        compositions(10**15, 1000)
 
 
 def test_byte_guard_names_the_count_the_prediction_and_the_budget():

@@ -124,14 +124,14 @@ def test_stacked_subordination_cores_equal_one_at_a_time_bit_for_bit(rng, n):
     m = np.stack([random_matrix(rng, n, scale=1.2) for _ in range(k)])
     # some pairs fail: m is not subordinate to every x
     for got_m, got_s in ((y, x), (m, x), (m, _majorants(m))):
-        holds, flat, slack = _subordinations(got_m, got_s)
+        holds, flat, slack, _ = _subordinations(got_m, got_s)
         for i in range(k):
             w = is_subordinate(got_m[i], got_s[i])
             assert (w.holds, w.worst_pair, w.slack) == (bool(holds[i]), divmod(int(flat[i]), n), float(slack[i]))
             assert (w.holds, w.worst_pair, w.slack) == _old_witness(got_m[i], got_s[i])
     for mi, r in zip(m, _majorants(m)):
         assert r.tobytes() == norm_majorant(mi).tobytes() == np.full((n, n), operator_norm(mi)).tobytes()
-    holds, flat, slack = _exp_monotone(x, y)
+    holds, flat, slack, _ = _exp_monotone(x, y)
     for i in range(k):
         w = check_exp_monotone(x[i], y[i])
         assert (w.holds, w.worst_pair, w.slack) == (bool(holds[i]), divmod(int(flat[i]), n), float(slack[i]))

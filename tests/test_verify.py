@@ -309,6 +309,14 @@ def test_stacked_builds_are_refused_before_allocating(rng, traced_peak, stacked)
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_batching_does_not_change_the_results(monkeypatch, seed):
+    # a one-byte slab: every block of _slabs holds one case, one build or one torus point
+    default = run_suite("all", 60, seed)
+    monkeypatch.setattr(approximant, "_SLAB_BYTES", 1)
+    assert run_suite("all", 60, seed) == default
+
+
 # ------------------------------------------------------------------ memory
 
 @pytest.mark.parametrize("trials", [200, 1000])
