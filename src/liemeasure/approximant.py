@@ -129,7 +129,8 @@ def lie_approximant(a, b, t, n_steps: int) -> np.ndarray:
     t is a scalar or an array of points; the result has shape t.shape + (n, n).
     a is diagonalised once, a = V diag(mu) V*, so e^(t*a/N) = V diag(e^(t*mu/N)) V*
     at every point; e^(b/N) is formed once and one batched matrix power
-    finishes every point.
+    finishes every point. Refused, before allocating, when _lie_peak_bytes
+    of the grid exceeds linalg.BYTE_BUDGET.
     """
     am, bm = as_matrix_pair(a, b)
     ah = require_hermitian(am, name="a")
@@ -144,12 +145,20 @@ def _lie_approximants(ah: np.ndarray, b: np.ndarray, t, n_steps: int) -> np.ndar
     """
     t = np.asarray(t, dtype=np.complex128)
     k, n = b.shape[:2]
+    guarded_count("t-grid points", k * t.size, 1, peak_bytes=lambda points: _lie_peak_bytes(points, n))
     mu, vecs = np.linalg.eigh(ah)
     inner = (k,) + (1,) * t.ndim
     phases = np.exp((t / n_steps)[np.newaxis, ..., np.newaxis] * mu.reshape(inner + (n,)))
     vecs = vecs.reshape(inner + (n, n))
     step = (vecs * phases[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
     return np.linalg.matrix_power(step @ matrix_exp(b / n_steps).reshape(inner + (n, n)), n_steps)
+
+
+def _lie_peak_bytes(points: int, n: int) -> int:
+    """Predicted peak bytes of lie_approximant on a grid of `points`."""
+    # five (n, n) matrices a point: the step, the matrix power's argument, its square,
+    # its result and a new product; one more as slack; and t, the phases and their exponents
+    return 16 * points * (6 * n * n + 2 * n + 4)
 
 
 def commuting_case_measure(a, b, cluster_tol: float = CLUSTER_TOL) -> DiscreteMatrixMeasure:

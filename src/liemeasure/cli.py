@@ -67,17 +67,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_t_grid(spec: str) -> np.ndarray:
-    """Parse "start:stop:step" with an optional "+ci" imaginary pair suffix."""
+    """Parse "start:stop:step" with an optional "+ci" imaginary pair suffix.
+
+    A value that reads as inf is malformed; a count past LATTICE_LIMIT, one
+    past the float range too, is refused before any point is formed.
+    """
     m = _GRID_RE.match(spec.strip())
     if m is None:
         raise _UsageError(f"bad t grid {spec!r}; expected start:stop:step[+ci]")
     start, stop, step = float(m.group(1)), float(m.group(2)), float(m.group(3))
+    imag = 0.0 if m.group(4) is None else float(m.group(4))
+    if not all(map(math.isfinite, (start, stop, step, imag))):
+        raise _UsageError(f"bad t grid {spec!r}; start, stop, step and c must be finite")
     if step <= 0:
         raise _UsageError("t grid step must be positive")
     if stop < start:
         raise _UsageError("t grid stop must not precede start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    imag = 0.0 if m.group(4) is None else float(m.group(4))
+    steps = (stop - start) / step  # inf once the count leaves the float range
+    count = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else steps
     guarded_count("t-grid points", count + 2 * (imag != 0.0), 1, LATTICE_LIMIT)
     points = (start + np.arange(count) * step).astype(complex)
     if imag != 0.0:
@@ -153,10 +160,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(
-        args.suite, trials=args.trials, seed=args.seed,
-        max_dim=args.max_dim, min_gap=args.min_gap,
-    )
+    results = run_suite(args.suite, trials=args.trials, seed=args.seed, max_dim=args.max_dim)
     failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -278,7 +282,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-dim", type=int, default=4)
-    p.add_argument("--min-gap", type=float, default=0.0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("converge", help="tabulate approximation error against N")

@@ -14,18 +14,21 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import numpy as np
 import scipy.linalg
 
-from .approximant import MERGE_TOL, ApproximantConfig, build_measure_dp, lie_approximant
+from .approximant import MERGE_TOL, ApproximantConfig, _lie_peak_bytes, build_measure_dp, lie_approximant
 from .linalg import (
     as_int,
     as_matrix_pair,
     batched_operator_norms,
     canonical_json,
+    guarded_count,
     is_psd,
     matrix_exp,
     operator_norm,
     require_hermitian,
 )
 from .measure import (
+    _CHUNK_NUMBERS,
+    _transform_peak_bytes,
     _write_rows,
     hermitian_deviation,
     laplace_transform,
@@ -77,9 +80,12 @@ def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
 
     One stacked scipy expm covers the grid. At the real points where t*a+b is
     Hermitian, one stacked eigh cross-checks it against V diag(e^w) V*.
+    Refused, before allocating, when _truth_peak_bytes of the grid exceeds
+    linalg.BYTE_BUDGET.
     """
     am, bm = as_matrix_pair(a, b)
     t = np.asarray(t, dtype=np.complex128)
+    guarded_count("t-grid points", t.size, 1, peak_bytes=lambda points: _truth_peak_bytes(points, am.shape[0]))
     x = t[..., np.newaxis, np.newaxis] * am + bm
     if not np.isfinite(x).all():
         raise ValueError("t*a+b: entries must be finite")
@@ -97,6 +103,14 @@ def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
             f"exponential cross-check failed: spectral vs series gap {gaps[failed].max():.3e}"
         )
     return direct
+
+
+def _truth_peak_bytes(points: int, n: int) -> int:
+    """Predicted peak bytes of truth_exponential on a grid of `points`."""
+    # eight (n, n) matrices a point at the cross-check: t*a+b, e^(t*a+b), their copies
+    # at the Hermitian points, the eigenvectors and three temporaries; one more as
+    # slack; and t, the eigenvalues and the per-point norms
+    return 16 * points * (9 * n * n + n + 6)
 
 
 def _adjoints(stack: np.ndarray) -> np.ndarray:
@@ -122,10 +136,9 @@ def exp_curve_derivative(a, b, order: int) -> np.ndarray:
     return math.factorial(order) * matrix_exp(big)[:n, (m - 1) * n :]
 
 
-def finite_difference_derivative(a, b, h: float = 1e-4) -> np.ndarray:
-    """Central difference (e^(h*a+b) - e^(-h*a+b)) / (2h) for d/dt e^(ta+b) at 0."""
-    if not (h > 0):
-        raise ValueError("h must be positive")
+def finite_difference_derivative(a, b) -> np.ndarray:
+    """Central difference (e^(h*a+b) - e^(-h*a+b)) / (2h), h = 1e-4, for d/dt e^(ta+b) at 0."""
+    h = 1e-4
     am, bm = as_matrix_pair(a, b)
     return (matrix_exp(h * am + bm) - matrix_exp(-h * am + bm)) / (2.0 * h)
 
@@ -168,19 +181,25 @@ def convergence_study(
 
     One measure is alive at a time: each M_N is freed before the next build.
     The Cauchy distance from M_N to M_2N is taken from their transforms on the
-    grid, kept for the N whose double or half is in the schedule.
+    grid; M_N's is kept only until M_2N's has taken the distance. Refused,
+    before allocating, when _study_peak_bytes of the grid exceeds
+    linalg.BYTE_BUDGET; each build guards its own measure.
     """
     sched = _check_schedule(n_schedule)
-    grid = default_t_grid() if t_grid is None else np.asarray([complex(t) for t in t_grid])
+    grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=np.complex128).ravel()
     if grid.size == 0:
         raise ValueError("t_grid must be non-empty")
     am, bm = as_matrix_pair(a, b)
     ah = require_hermitian(am, name="a")
+    doubled = {n for n in sched if 2 * n in sched}
+    # transforms alive as the build of N starts: those of the M < N whose 2M is not yet built
+    kept = max(sum(m < n <= 2 * m for m in doubled) for n in sched)
+    guarded_count("t-grid points", grid.size, 1,
+                  peak_bytes=lambda points: _study_peak_bytes(points, am.shape[0], kept))
     truths = truth_exponential(ah, bm, grid)
     d_truth = np.stack([exp_curve_derivative(ah, bm, k) for k in range(3)])
 
-    paired = {n for n in sched if 2 * n in sched}
-    paired |= {2 * n for n in paired}
+    paired = doubled | {2 * n for n in doubled}
     transforms: dict[int, np.ndarray] = {}
     points = []
     for n_steps in sched:
@@ -190,16 +209,16 @@ def convergence_study(
         mom_err = [float(e) for e in batched_operator_norms(moments - d_truth)]
         points.append(ConvergencePoint(n_steps, err, total_variation(m), hermitian_deviation(m), *mom_err))
         if n_steps in paired:
-            transforms[n_steps] = laplace_transform(m, grid)
+            values = laplace_transform(m, grid)
+            if n_steps % 2 == 0 and n_steps // 2 in transforms:
+                # transform_distance of M_N/2 and M_N, from their transforms on the grid
+                i = sched.index(n_steps // 2)
+                distance = float(batched_operator_norms(transforms.pop(n_steps // 2) - values).max())
+                points[i] = replace(points[i], cauchy_distance=distance)
+            if n_steps in doubled:
+                transforms[n_steps] = values
+            del values
         del m  # before the next build
-
-    # transform_distance of M_N and M_2N, from their transforms on the grid
-    points = [
-        replace(p, cauchy_distance=float(batched_operator_norms(transforms[p.N] - transforms[2 * p.N]).max()))
-        if 2 * p.N in transforms
-        else p
-        for p in points
-    ]
 
     errs = np.array([max(p.max_transform_err, 1e-300) for p in points])
     if len(sched) >= 2:
@@ -207,6 +226,20 @@ def convergence_study(
     else:
         slope = 0.0
     return ConvergenceReport(sched, points, slope)
+
+
+def _study_peak_bytes(points: int, n: int, kept: int) -> int:
+    """Predicted peak bytes of convergence_study's arrays on a grid of `points`, `kept` transforms kept at most.
+
+    The truths stay alive throughout; e^(ta+b) peaks alone, and each build adds
+    to the kept transforms lie_approximant's peak, or a transform and its
+    difference from the kept one. The transform's coefficients take at most
+    60 * _CHUNK_NUMBERS bytes for a measure of up to _CHUNK_NUMBERS / 2
+    atoms; a larger measure's are left to laplace_transform's own guard.
+    """
+    grid = 16 * points * n * n
+    transform = _transform_peak_bytes(points, 0, n) + 60 * _CHUNK_NUMBERS + grid
+    return max(_truth_peak_bytes(points, n), grid * (1 + kept) + max(_lie_peak_bytes(points, n), transform))
 
 
 @dataclass(frozen=True)
@@ -222,16 +255,14 @@ class StahlTraceReport:
     points: list[TracePoint] = field(default_factory=list)
 
 
-def stahl_trace_study(a, b, n_schedule, t_grid=None) -> StahlTraceReport:
-    """Trace the measures of a Hermitian pair and compare against tr e^(ta+b).
+def stahl_trace_study(a, b, n_schedule) -> StahlTraceReport:
+    """Trace the measures of a Hermitian pair and compare against tr e^(ta+b) on default_t_grid().
 
     Diagnostic only: reports how far each traced transform sits from the true
     trace and the most negative atom of the traced measure.
     """
     sched = _check_schedule(n_schedule)
-    grid = default_t_grid() if t_grid is None else np.asarray([complex(t) for t in t_grid])
-    if grid.size == 0:
-        raise ValueError("t_grid must be non-empty")
+    grid = default_t_grid()
     ah = require_hermitian(a, name="a")
     bh = require_hermitian(b, name="b")
     truths = np.trace(truth_exponential(ah, bh, grid), axis1=-2, axis2=-1)
@@ -294,14 +325,14 @@ def counterexample_derivative_det() -> float:
     return (6.0 - math.exp(2.0) - math.exp(-2.0)) / 4.0
 
 
-def check_counterexample_closed_forms(t_values=(-1.0, -0.25, 0.0, 0.5, 1.0, 2.0)) -> float:
-    """Worst gap between the closed-form eigensystem and a spectral decomposition."""
+def check_counterexample_closed_forms() -> float:
+    """Worst gap between the closed-form eigensystem and a spectral decomposition, t in {-1, -1/4, 0, 1/2, 1, 2}."""
     a, b = counterexample_pair()
     worst = 0.0
-    for t in t_values:
-        dec = decompose(float(t) * a + b)
-        lam_p, lam_m = counterexample_eigenvalues(float(t))
-        e_p, e_m = counterexample_projectors(float(t))
+    for t in (-1.0, -0.25, 0.0, 0.5, 1.0, 2.0):
+        dec = decompose(t * a + b)
+        lam_p, lam_m = counterexample_eigenvalues(t)
+        e_p, e_m = counterexample_projectors(t)
         worst = max(
             worst,
             abs(dec.eigenvalues[0] - lam_m),

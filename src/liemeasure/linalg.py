@@ -39,15 +39,16 @@ __all__ = [
 
 
 class ResourceLimitError(RuntimeError):
-    """A build would exceed the byte budget, or a t-grid its point or coefficient cap."""
+    """A build or a t-grid evaluation would exceed the byte budget, or a t-grid its point or coefficient cap."""
 
 
-# peak array bytes a build may predict for itself: index tuples, compositions, the torus
+# peak array bytes a build or a t-grid evaluation may predict for itself: index tuples,
+# compositions, the torus, and e^(tA+B), L_N(t) and the transform on a grid
 BYTE_BUDGET = 2 * 1024**3
 # t-grid points, and T*K transform coefficients: each point costs an e^(tA+B) or a
 # transform evaluation, so this cap bounds work as well as bytes
 LATTICE_LIMIT = 5_000_000
-HERMITIAN_TOL = 1e-9  # require_hermitian's default: ||s - s*|| may reach tol * ||s||
+HERMITIAN_TOL = 1e-9  # the tolerance of every Hermitian and PSD check
 
 
 def guarded_count(what: str, base: int, exponent: int, limit: int | None = None, *, peak_bytes=None) -> int:
@@ -60,9 +61,9 @@ def guarded_count(what: str, base: int, exponent: int, limit: int | None = None,
     label = f"{what}: {base if exponent == 1 else f'{base}**{exponent}'}"
     # log space first: a refused count may be too large to form, let alone format
     log_count = exponent * math.log(base) if base > 1 else 0.0
+    if limit is not None and (log_count > math.log(limit) + 1e-9 or base**exponent > limit):
+        raise ResourceLimitError(f"{label} exceeds the limit of {limit}")
     if peak_bytes is None:
-        if log_count > math.log(limit) + 1e-9 or base**exponent > limit:
-            raise ResourceLimitError(f"{label} exceeds the limit of {limit}")
         return base**exponent
     return _guarded_bytes(label, log_count, lambda: base**exponent, peak_bytes)
 
@@ -144,21 +145,21 @@ def hermitian_defect(s) -> float:
     return float(np.linalg.svd(m - m.conj().T, compute_uv=False)[0])
 
 
-def require_hermitian(s, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Check that s is Hermitian within tol*||s|| and return (s + s*)/2.
+def require_hermitian(s, name: str = "matrix") -> np.ndarray:
+    """Check that s is Hermitian within HERMITIAN_TOL*||s|| and return (s + s*)/2.
 
     The symmetrized copy is what downstream eigen-based code consumes, so
     rounding-level asymmetry in the input never reaches LAPACK.
     """
-    return _hermitian_stack(as_matrix(s, name)[np.newaxis], tol, name)[0]
+    return _hermitian_stack(as_matrix(s, name)[np.newaxis], name)[0]
 
 
-def _hermitian_stack(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+def _hermitian_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """require_hermitian of every matrix of a (k, n, n) stack from as_matrix, in stacked SVDs."""
     adj = m.conj().swapaxes(1, 2)
     defect = np.linalg.svd(m - adj, compute_uv=False)[:, 0]
-    if np.any(defect > tol * np.linalg.svd(m, compute_uv=False)[:, 0]):
-        raise ValueError(f"{name}: not Hermitian within tolerance {tol:g}")
+    if np.any(defect > HERMITIAN_TOL * np.linalg.svd(m, compute_uv=False)[:, 0]):
+        raise ValueError(f"{name}: not Hermitian within tolerance {HERMITIAN_TOL:g}")
     return (m + adj) / 2.0
 
 
@@ -167,12 +168,12 @@ def matrix_exp(x) -> np.ndarray:
     return scipy.linalg.expm(_as_square(x, "matrix", 3 if np.ndim(x) == 3 else 2))
 
 
-def is_psd(s, tol: float = 1e-9) -> bool:
-    """True iff s is Hermitian (within tol) with min eigenvalue >= -tol*max(1, ||s||)."""
-    h = require_hermitian(s, tol, "s")
+def is_psd(s) -> bool:
+    """True iff s is Hermitian (within HERMITIAN_TOL) with min eigenvalue >= -HERMITIAN_TOL*max(1, ||s||)."""
+    h = require_hermitian(s, "s")
     evs = np.linalg.eigvalsh(h)
     scale = max(1.0, float(np.abs(evs).max())) if evs.size else 1.0
-    return bool(evs.min() >= -tol * scale)
+    return bool(evs.min() >= -HERMITIAN_TOL * scale)
 
 
 def batched_operator_norms(stack: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    HERMITIAN_TOL,
     LATTICE_LIMIT,
     _GcPaused,
     _is_real,
@@ -127,11 +128,12 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
     one a whole-grid einsum gives, bit for bit. Raises OverflowError, naming
     the worst Re(t)*lambda on the grid, when some e^(t*lambda_k) would leave
     the float range, and ResourceLimitError, before allocating, beyond
-    LATTICE_LIMIT coefficients.
+    LATTICE_LIMIT coefficients or when _transform_peak_bytes exceeds
+    linalg.BYTE_BUDGET.
     """
     t = np.asarray(t, dtype=np.complex128)
-    guarded_count(f"transform coefficients ({t.size} t-points x {len(m)} atoms)",
-                  t.size * len(m), 1, LATTICE_LIMIT)
+    guarded_count(f"transform coefficients ({t.size} t-points x {len(m)} atoms)", t.size * len(m), 1, LATTICE_LIMIT,
+                  peak_bytes=lambda _: _transform_peak_bytes(t.size, len(m), m.dim))
     if m.locations.size and t.size:
         # Re(t)*lambda is largest at an end of both ranges; locations ascend
         ends = np.multiply.outer([t.real.min(), t.real.max()], m.locations[[0, -1]])
@@ -142,13 +144,26 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
             )
     out = np.empty(t.shape + (m.dim, m.dim), dtype=np.complex128)
     points, values = t.reshape(-1), out.reshape(-1, m.dim, m.dim)
-    # chunks of at least two points, so _contract pads at most the last one
-    step = max(2, _CHUNK_NUMBERS // max(1, len(m)))
-    edges = [*range(0, t.size, step), t.size]
+    edges = [*range(0, t.size, _chunk_points(len(m))), t.size]
     for start, stop in zip(edges, edges[1:]):
         coeff = np.multiply.outer(points[start:stop], m.locations)
         values[start:stop] = _contract(np.exp(coeff, out=coeff), m)
     return out
+
+
+def _chunk_points(atoms: int) -> int:
+    """Grid points per chunk of laplace_transform: at least two, so _contract pads at most the last chunk."""
+    return max(2, _CHUNK_NUMBERS // max(1, atoms))
+
+
+def _transform_peak_bytes(points: int, atoms: int, n: int) -> int:
+    """Predicted peak bytes of laplace_transform on a grid of `points` for a measure of `atoms` (n, n) weights."""
+    chunk = min(points, _chunk_points(atoms))
+    # coefficient rows alive at once: a chunk's, the last chunk's until the next replaces
+    # it, and a lone row's padded pair; then one chunk's weighted sums, a quarter over
+    # for slack, and the two ufunc buffers of the outer product's cast
+    rows = min(points, 2 * chunk) + 2
+    return 16 * points * (n * n + 1) + 20 * (rows * atoms + chunk * n * n) + 32 * np.getbufsize()
 
 
 def moment(m: DiscreteMatrixMeasure, k: int) -> np.ndarray:
@@ -182,14 +197,14 @@ def trace_measure(m: DiscreteMatrixMeasure) -> DiscreteMatrixMeasure:
     return DiscreteMatrixMeasure(m.locations.copy(), traces.reshape(-1, 1, 1), N=m.N, source=m.source)
 
 
-def is_nonnegative_measure(m: DiscreteMatrixMeasure, tol: float = 1e-9) -> bool:
-    """True iff every atom weight is Hermitian positive semidefinite within tol."""
+def is_nonnegative_measure(m: DiscreteMatrixMeasure) -> bool:
+    """True iff every atom weight is Hermitian positive semidefinite within HERMITIAN_TOL."""
     for w in m.weights:
         scale = max(1.0, float(np.abs(w).max()) * m.dim)
-        if hermitian_defect(w) > tol * scale:
+        if hermitian_defect(w) > HERMITIAN_TOL * scale:
             return False
         h = (w + w.conj().T) / 2.0
-        if float(np.linalg.eigvalsh(h).min()) < -tol * scale:
+        if float(np.linalg.eigvalsh(h).min()) < -HERMITIAN_TOL * scale:
             return False
     return True
 

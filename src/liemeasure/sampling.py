@@ -70,9 +70,9 @@ def draw_unitary(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
     return rng.standard_normal((n, n)), rng.standard_normal((n, n))
 
 
-def draw_spaced(rng: np.random.Generator, count: int, span: float = 2.0) -> np.ndarray:
-    """count unsorted uniform values in [-span, span): the draw of spaced_values."""
-    return rng.uniform(-span, span, count)
+def draw_spaced(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count unsorted uniform values in [-2, 2): the draw of spaced_values."""
+    return rng.uniform(-2.0, 2.0, count)
 
 
 def draw_commuting_pair(rng: np.random.Generator, n: int, scale: float = 1.0) -> tuple:
@@ -160,11 +160,9 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return form_unitaries(*draw_unitary(rng, n))
 
 
-def spaced_values(
-    rng: np.random.Generator, count: int, min_gap: float = 0.0, span: float = 2.0
-) -> np.ndarray:
-    """Sorted values in roughly [-span, span] with consecutive gaps >= min_gap."""
-    return form_spaced(draw_spaced(rng, count, span), min_gap)
+def spaced_values(rng: np.random.Generator, count: int, min_gap: float = 0.0) -> np.ndarray:
+    """Sorted values in roughly [-2, 2] with consecutive gaps >= min_gap."""
+    return form_spaced(draw_spaced(rng, count), min_gap)
 
 
 def hermitian_with_spectrum(
@@ -199,17 +197,12 @@ def commuting_hermitian_pair(rng: np.random.Generator, n: int, scale: float = 1.
     return form_commuting_pairs(*draw_commuting_pair(rng, n, scale))
 
 
-def noncommuting_hermitian_pair(
-    rng: np.random.Generator,
-    n: int,
-    max_norm: float = 2.0,
-    min_commutator: float = 0.3,
-):
-    """Hermitian pair with ||a||, ||b|| <= max_norm and ||ab - ba|| >= min_commutator."""
+def noncommuting_hermitian_pair(rng: np.random.Generator, n: int):
+    """Hermitian pair with ||a||, ||b|| <= 2 and ||ab - ba|| >= 0.3."""
     while True:
-        a = scaled_to_norm(random_hermitian(rng, n), rng.uniform(0.5, 1.0) * max_norm)
-        b = scaled_to_norm(random_hermitian(rng, n), rng.uniform(0.5, 1.0) * max_norm)
-        if operator_norm(a @ b - b @ a) >= min_commutator:
+        a = scaled_to_norm(random_hermitian(rng, n), rng.uniform(0.5, 1.0) * 2.0)
+        b = scaled_to_norm(random_hermitian(rng, n), rng.uniform(0.5, 1.0) * 2.0)
+        if operator_norm(a @ b - b @ a) >= 0.3:
             return a, b
 
 

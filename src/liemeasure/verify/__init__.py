@@ -98,15 +98,13 @@ _LEMMA_INDEX = {
 }
 
 
-def run_lemma(fn, trials: int, seed: int, max_dim: int = 4, min_gap: float = 0.0) -> LemmaResult:
+def run_lemma(fn, trials: int, seed: int, max_dim: int = 4) -> LemmaResult:
     """Run one lemma with a generator derived from (seed, lemma index)."""
     rng = np.random.default_rng([seed, _LEMMA_INDEX[fn]])
-    return fn(rng, trials, max_dim, min_gap)
+    return fn(rng, trials, max_dim)
 
 
-def run_suite(
-    suite: str, trials: int, seed: int, max_dim: int = 4, min_gap: float = 0.0
-) -> list[LemmaResult]:
+def run_suite(suite: str, trials: int, seed: int, max_dim: int = 4) -> list[LemmaResult]:
     """Run the lemmas of one suite, or of all; max_dim may be 1 only for the norms suite."""
     if suite == "all":
         names = list(SUITES)
@@ -116,4 +114,4 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     trials = as_int(trials, "trials")
     max_dim = as_int(max_dim, "max_dim", 1 if names == ["norms"] else 2, f" for suite {suite!r}")
-    return [run_lemma(fn, trials, seed, max_dim, min_gap) for name in names for fn in SUITES[name]]
+    return [run_lemma(fn, trials, seed, max_dim) for name in names for fn in SUITES[name]]

@@ -19,7 +19,7 @@ from .harness import BuildDraw, build_lemma, built_margins, fields, groups, matr
 def _builder_draw(max_dim, steps):
     """draw(rng) of a random builder instance and then steps(rng), its step count.
 
-    The instance is hermitian_with_spectrum(rng, spaced_values(rng, l, gap), mult)
+    The instance is hermitian_with_spectrum(rng, spaced_values(rng, l, 0.15), mult)
     with l clusters of random multiplicities, n = 2..4, and a random_matrix b;
     its draw keeps the unsorted values, the cluster that each of the n - l
     extra eigenvalues joins, and the draws of the unitary and of b.
@@ -36,23 +36,20 @@ def _builder_draw(max_dim, steps):
     return draw
 
 
-def _builder_pairs(min_gap):
-    """form_pairs of _builder_draw draws: the spectra of each cluster count in one call, then one QR for all."""
-    def form_pairs(draws):
-        spectra, joins, unitaries = zip(*(d.a for d in draws))
-        diag = np.empty((len(draws), draws[0].n))
-        for idx in groups(map(len, spectra)):
-            lam = sampling.form_spaced(np.array([spectra[i] for i in idx]), max(min_gap, 0.15))
-            # np.repeat(lam, mult), mult[j] = 1 + the extra eigenvalues that join cluster j
-            labels = np.array([sorted([*range(lam.shape[1]), *joins[i]]) for i in idx])
-            diag[idx] = np.take_along_axis(lam, labels, axis=1)
-        a = sampling.form_with_spectrum(diag, sampling.form_unitaries(*fields(unitaries)))
-        return a, matrices([d.b for d in draws])
-
-    return form_pairs
+def _builder_pairs(draws):
+    """The stacked a and b of _builder_draw draws: the spectra of each cluster count in one call, then one QR for all."""
+    spectra, joins, unitaries = zip(*(d.a for d in draws))
+    diag = np.empty((len(draws), draws[0].n))
+    for idx in groups(map(len, spectra)):
+        lam = sampling.form_spaced(np.array([spectra[i] for i in idx]), 0.15)
+        # np.repeat(lam, mult), mult[j] = 1 + the extra eigenvalues that join cluster j
+        labels = np.array([sorted([*range(lam.shape[1]), *joins[i]]) for i in idx])
+        diag[idx] = np.take_along_axis(lam, labels, axis=1)
+    a = sampling.form_with_spectrum(diag, sampling.form_unitaries(*fields(unitaries)))
+    return a, matrices([d.b for d in draws])
 
 
-def lemma_dp_vs_bruteforce(rng, trials, max_dim, min_gap=0.0):
+def lemma_dp_vs_bruteforce(rng, trials, max_dim):
     def both(decs, steps, cfg):
         return zip(_torus_measures(decs, steps, cfg), _bruteforce_measures(decs, steps, cfg))
 
@@ -68,14 +65,14 @@ def lemma_dp_vs_bruteforce(rng, trials, max_dim, min_gap=0.0):
         return _torus_peak_bytes(l, n_steps, n) + _tuple_peak_bytes(l, n_steps, n)
 
     draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 7)))
-    return build_lemma("dp-vs-bruteforce", rng, trials, draw, _builder_pairs(min_gap),
+    return build_lemma("dp-vs-bruteforce", rng, trials, draw, _builder_pairs,
                        lambda cases: built_margins(cases, margin, peak, both))
 
 
 _TRANSFORM_POINTS = np.array([-1.0, -0.3, 0.0, 0.7, 1.0, 1j, -1j])
 
 
-def lemma_transform_identity(rng, trials, max_dim, min_gap=0.0):
+def lemma_transform_identity(rng, trials, max_dim):
     def margins(cases):
         a, b = stack(cases, 0), stack(cases, 1)
         ln = _lie_approximants(_hermitian_stack(a, name="a"), b, _TRANSFORM_POINTS, cases[0].N)
@@ -89,10 +86,10 @@ def lemma_transform_identity(rng, trials, max_dim, min_gap=0.0):
         return built_margins(cases, margin)
 
     draw = _builder_draw(max_dim, lambda rng: int(rng.choice([4, 8, 16])))
-    return build_lemma("transform-identity", rng, trials, draw, _builder_pairs(min_gap), margins)
+    return build_lemma("transform-identity", rng, trials, draw, _builder_pairs, margins)
 
 
-def lemma_support_in_hull(rng, trials, max_dim, min_gap=0.0):
+def lemma_support_in_hull(rng, trials, max_dim):
     def margin(i, dec, m):
         hull = n_convex_hull(dec.eigenvalues, m.N)
         inside = min(
@@ -105,23 +102,23 @@ def lemma_support_in_hull(rng, trials, max_dim, min_gap=0.0):
         return min(inside + 1e-12, 1e-12 - hull_gap)
 
     draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 9)))
-    return build_lemma("support-in-hull", rng, trials, draw, _builder_pairs(min_gap),
+    return build_lemma("support-in-hull", rng, trials, draw, _builder_pairs,
                        lambda cases: built_margins(cases, margin))
 
 
-def lemma_total_mass(rng, trials, max_dim, min_gap=0.0):
+def lemma_total_mass(rng, trials, max_dim):
     def margins(cases):
         eb = matrix_exp(stack(cases, 1))
         return built_margins(cases, lambda i, dec, m: 1e-10 - operator_norm(moment(m, 0) - eb[i]))
 
     draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 9)))
-    return build_lemma("total-mass", rng, trials, draw, _builder_pairs(min_gap), margins)
+    return build_lemma("total-mass", rng, trials, draw, _builder_pairs, margins)
 
 
 _COMMUTING_POINTS = np.array([-1.0, 0.0, 0.5, 1.0])
 
 
-def lemma_commuting_exactness(rng, trials, max_dim, min_gap=0.0):
+def lemma_commuting_exactness(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(2, min(max_dim, 4) + 1))
         pair = sampling.draw_commuting_pair(rng, n, scale=1.5)

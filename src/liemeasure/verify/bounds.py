@@ -23,7 +23,7 @@ def _form_generic_pairs(draws):
     return a, matrices([d.b for d in draws])
 
 
-def lemma_tv_bound(rng, trials, max_dim, min_gap=0.0):
+def lemma_tv_bound(rng, trials, max_dim):
     def draw(rng):
         return _draw_generic_pair(rng, max_dim, 6)
 
@@ -36,7 +36,7 @@ def lemma_tv_bound(rng, trials, max_dim, min_gap=0.0):
     return build_lemma("total-variation-bound", rng, trials, draw, _form_generic_pairs, margins)
 
 
-def lemma_partition_product_bound(rng, trials, max_dim, min_gap=0.0):
+def lemma_partition_product_bound(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(2, min(max_dim, 4) + 1))
         parts = int(rng.integers(1, 4))
@@ -64,7 +64,7 @@ def lemma_partition_product_bound(rng, trials, max_dim, min_gap=0.0):
                       lambda c: as_payload(r=c[1], parts=len(c[0]), N=c[2]), form)
 
 
-def lemma_tuple_norm_regrouping(rng, trials, max_dim, min_gap=0.0):
+def lemma_tuple_norm_regrouping(rng, trials, max_dim):
     def draw(rng):
         return _draw_generic_pair(rng, max_dim, 5)
 

@@ -8,7 +8,7 @@ from ..norms import _inverse_triangle_sums
 from .harness import as_payload, dim, groups, matrices, matrix_cases, matrix_dim, run_trials, stack
 
 
-def lemma_entry_sum_dominates_norm(rng, trials, max_dim, min_gap=0.0):
+def lemma_entry_sum_dominates_norm(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
         return sampling.draw_matrix(rng, n, scale=float(rng.uniform(0.1, 3.0)))
@@ -21,7 +21,7 @@ def lemma_entry_sum_dominates_norm(rng, trials, max_dim, min_gap=0.0):
                       lambda c: as_payload(m=c[0]), matrix_cases)
 
 
-def lemma_nonneg_entry_sum_bound(rng, trials, max_dim, min_gap=0.0):
+def lemma_nonneg_entry_sum_bound(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
         return (sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 3.0))),)
@@ -35,7 +35,7 @@ def lemma_nonneg_entry_sum_bound(rng, trials, max_dim, min_gap=0.0):
                       lambda c: as_payload(s=c[0]))
 
 
-def lemma_inverse_triangle(rng, trials, max_dim, min_gap=0.0):
+def lemma_inverse_triangle(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
         return [
@@ -54,7 +54,7 @@ def lemma_inverse_triangle(rng, trials, max_dim, min_gap=0.0):
                       lambda c: as_payload(part0=c[0], count=len(c)))
 
 
-def lemma_submultiplicative(rng, trials, max_dim, min_gap=0.0):
+def lemma_submultiplicative(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
         a = sampling.draw_matrix(rng, n, scale=float(rng.uniform(0.1, 2.0)))

@@ -8,14 +8,13 @@ from ..spectral import CLUSTER_TOL, _decompose_stack, scaled_exp
 from .harness import LemmaResult, as_payload, dim, fields, groups, run_trials, stack
 
 
-def _spectral_lemma(name, rng, trials, max_dim, min_gap, margins_of, extra=None, form_extras=list,
+def _spectral_lemma(name, rng, trials, max_dim, margins_of, extra=None, form_extras=list,
                     payload=lambda a, more: as_payload(a=a)) -> LemmaResult:
     """A lemma on one gapped Hermitian a per trial, and extra(rng, n) drawn right after it.
 
-    a is hermitian_with_spectrum(rng, spaced_values(rng, n, gap)) for n in
-    2..max_dim, gap = max(min_gap, 0.05); form_extras(extra draws) forms the
-    extras of one size. margins_of(a, decompositions, extras) gets the
-    stacked a of one size.
+    a is hermitian_with_spectrum(rng, spaced_values(rng, n, 0.05)) for n in
+    2..max_dim; form_extras(extra draws) forms the extras of one size.
+    margins_of(a, decompositions, extras) gets the stacked a of one size.
     """
     def draw(rng):
         n = int(rng.integers(2, max_dim + 1))
@@ -24,7 +23,7 @@ def _spectral_lemma(name, rng, trials, max_dim, min_gap, margins_of, extra=None,
 
     def form(draws):
         spectra, re, im = fields(d[:3] for d in draws)
-        lam = sampling.form_spaced(spectra, max(min_gap, 0.05))
+        lam = sampling.form_spaced(spectra, 0.05)
         a = sampling.form_with_spectrum(lam, sampling.form_unitaries(re, im))
         return list(zip(a, form_extras([d[3] for d in draws])))
 
@@ -41,7 +40,7 @@ def _cluster_groups(decs):
         yield idx, np.stack([decs[i].projectors for i in idx])
 
 
-def lemma_projector_algebra(rng, trials, max_dim, min_gap=0.0):
+def lemma_projector_algebra(rng, trials, max_dim):
     def margins_of(a, decs, _):
         n = a.shape[1]
         out = np.empty(len(a))
@@ -58,20 +57,20 @@ def lemma_projector_algebra(rng, trials, max_dim, min_gap=0.0):
             out[idx] = 1e-10 - norms.reshape(len(idx), -1).max(axis=1)
         return out
 
-    return _spectral_lemma("projector-algebra", rng, trials, max_dim, min_gap, margins_of)
+    return _spectral_lemma("projector-algebra", rng, trials, max_dim, margins_of)
 
 
-def lemma_spectral_reconstruction(rng, trials, max_dim, min_gap=0.0):
+def lemma_spectral_reconstruction(rng, trials, max_dim):
     def margins_of(a, decs, _):
         rebuilt = np.stack([
             np.einsum("j,jpq->pq", dec.eigenvalues.astype(complex), dec.projectors) for dec in decs
         ])
         return 1e-10 - batched_operator_norms(rebuilt - a)
 
-    return _spectral_lemma("spectral-reconstruction", rng, trials, max_dim, min_gap, margins_of)
+    return _spectral_lemma("spectral-reconstruction", rng, trials, max_dim, margins_of)
 
 
-def lemma_eigen_identity(rng, trials, max_dim, min_gap=0.0):
+def lemma_eigen_identity(rng, trials, max_dim):
     def margins_of(a, decs, _):
         tol = 1e-9 * np.maximum(1.0, batched_operator_norms(a))
         out = np.empty(len(a))
@@ -82,10 +81,10 @@ def lemma_eigen_identity(rng, trials, max_dim, min_gap=0.0):
             out[idx] = tol[idx] - worst.max(axis=1)
         return out
 
-    return _spectral_lemma("eigen-identity", rng, trials, max_dim, min_gap, margins_of)
+    return _spectral_lemma("eigen-identity", rng, trials, max_dim, margins_of)
 
 
-def lemma_scaled_exp_agreement(rng, trials, max_dim, min_gap=0.0):
+def lemma_scaled_exp_agreement(rng, trials, max_dim):
     def extra(rng, n):
         return complex(rng.uniform(-2, 2), rng.uniform(-1, 1)), int(rng.integers(1, 9))
 
@@ -98,11 +97,11 @@ def lemma_scaled_exp_agreement(rng, trials, max_dim, min_gap=0.0):
         t, scale = more
         return as_payload(a=a, t_re=t.real, t_im=t.imag, scale=scale)
 
-    return _spectral_lemma("scaled-exp-agreement", rng, trials, max_dim, min_gap, margins_of,
+    return _spectral_lemma("scaled-exp-agreement", rng, trials, max_dim, margins_of,
                            extra, payload=payload)
 
 
-def lemma_rayleigh_containment(rng, trials, max_dim, min_gap=0.0):
+def lemma_rayleigh_containment(rng, trials, max_dim):
     def unit_vectors(draws):
         """unit_disc_entries(rng, n) over its norm, np.linalg.norm's dot products in stacked form."""
         v = sampling.form_disc(*fields(draws))
@@ -116,5 +115,5 @@ def lemma_rayleigh_containment(rng, trials, max_dim, min_gap=0.0):
             out.append(min(q - dec.lambda_min + 1e-10, dec.lambda_max - q + 1e-10))
         return out
 
-    return _spectral_lemma("rayleigh-containment", rng, trials, max_dim, min_gap, margins_of,
+    return _spectral_lemma("rayleigh-containment", rng, trials, max_dim, margins_of,
                            sampling.draw_polar, unit_vectors)

@@ -16,7 +16,7 @@ def _dominated(draws) -> list:
     return list(zip(s, sampling.form_subordinate(s, fraction, phase)))
 
 
-def lemma_majorant_dominates(rng, trials, max_dim, min_gap=0.0):
+def lemma_majorant_dominates(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
         return sampling.draw_matrix(rng, n, scale=float(rng.uniform(0.1, 2.0)))
@@ -29,7 +29,7 @@ def lemma_majorant_dominates(rng, trials, max_dim, min_gap=0.0):
                       lambda c: as_payload(b=c[0]), matrix_cases)
 
 
-def lemma_majorant_norm_identities(rng, trials, max_dim, min_gap=0.0):
+def lemma_majorant_norm_identities(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(2, min(max_dim, 6) + 1))
         return sampling.draw_matrix(rng, n), float(rng.uniform(0.05, 5.0))
@@ -60,7 +60,7 @@ def lemma_majorant_norm_identities(rng, trials, max_dim, min_gap=0.0):
                       margins, lambda c: as_payload(b=c[0]), form)
 
 
-def lemma_norm_monotone(rng, trials, max_dim, min_gap=0.0):
+def lemma_norm_monotone(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
         s = sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 2.0)))
@@ -76,7 +76,7 @@ def lemma_norm_monotone(rng, trials, max_dim, min_gap=0.0):
                       lambda draws: [(m, s) for s, m in _dominated(draws)])
 
 
-def lemma_sum_product_closure(rng, trials, max_dim, min_gap=0.0):
+def lemma_sum_product_closure(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(1, max_dim + 1))
         chain = int(rng.integers(2, 5))
@@ -105,7 +105,7 @@ def lemma_sum_product_closure(rng, trials, max_dim, min_gap=0.0):
                       lambda c: as_payload(s0=c[0][0], m0=c[1][0], chain=len(c[0])), _dominated)
 
 
-def lemma_exp_monotone(rng, trials, max_dim, min_gap=0.0):
+def lemma_exp_monotone(rng, trials, max_dim):
     def draw(rng):
         n = int(rng.integers(2, min(max_dim, 6) + 1))
         x = sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 1.5)))

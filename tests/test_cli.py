@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import liemeasure.cli as cli
+import liemeasure.linalg as linalg
 from liemeasure.cli import main, parse_schedule, parse_t_grid
 from liemeasure.approximant import _torus_peak_bytes
 from liemeasure.linalg import BYTE_BUDGET, write_matrix
@@ -436,6 +437,48 @@ def test_transform_grid_guard_exits_3_before_allocating(tmp_path, pair_files, ca
     assert want in err
 
 
+# the count of the first two leaves the float range; the last two read inf for a value
+OVERSIZED_T_GRIDS = [
+    ("0:1:1e-320", 3, "resource limit: t-grid points: inf exceeds the limit of 5000000\n"),
+    ("0:1e308:1e-10", 3, "resource limit: t-grid points: inf exceeds the limit of 5000000\n"),
+    ("0:1:0.1+1e400i", 1, "bad t grid '0:1:0.1+1e400i'; start, stop, step and c must be finite\n"),
+    ("0:1e400:1", 1, "bad t grid '0:1e400:1'; start, stop, step and c must be finite\n"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tgrid, code, message", OVERSIZED_T_GRIDS, ids=[g[0] for g in OVERSIZED_T_GRIDS])
+def test_t_grid_values_past_the_float_range(tmp_path, pair_files, capsys, tgrid, code, message):
+    a_path, b_path = pair_files
+    out = str(tmp_path / "m.json")
+    assert main(["measure", "--a", a_path, "--b", b_path, "--steps", "8", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["transform", "--measure", out, f"--tgrid={tgrid}"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize("command", ["converge", "transform"])
+def test_t_grid_byte_budget_exits_3_naming_the_bytes(tmp_path, pair_files, capsys, monkeypatch, command):
+    # 101 points of 2x2 matrices pass the point cap but not a 10,000-byte budget
+    a_path, b_path = pair_files
+    out = str(tmp_path / "m.json")
+    assert main(["measure", "--a", a_path, "--b", b_path, "--steps", "8", "--out", out]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(linalg, "BYTE_BUDGET", 10_000)
+    report = str(tmp_path / "report.csv")
+    argv = {
+        "converge": ["converge", "--a", a_path, "--b", b_path, "--schedule", "4,8", "--out", report],
+        "transform": ["transform", "--measure", out, "--a", a_path, "--b", b_path, "--out", report],
+    }[command]
+    assert main(argv + ["--tgrid", "0:1:0.01"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ")
+    assert err.endswith(" bytes, over the budget of 10000 bytes\n")
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_converge_on_a_long_t_grid_evaluates_the_truth_once(tmp_path, pair_files, capsys, monkeypatch):
     # 10,001 t-points: one stacked expm, not one call per point
     a_path, b_path = pair_files
@@ -471,6 +514,13 @@ def test_verify_rejects_empty_or_undrawable_runs(capsys, argv, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid input: {bad}\n"
+
+
+def test_verify_has_no_min_gap_option(capsys):
+    assert main(["verify", "--suite", "norms", "--trials", "1", "--min-gap", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --min-gap 0.3" in captured.err
 
 
 def test_verify_norms_suite_runs_at_max_dim_1(capsys):

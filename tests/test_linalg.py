@@ -128,7 +128,7 @@ def test_adjoint_and_hermitian_defect():
 
 def test_require_hermitian_symmetrizes_and_rejects():
     h = np.array([[1.0, 1e-12], [0.0, 2.0]], dtype=complex)
-    out = require_hermitian(h, 1e-9, "h")
+    out = require_hermitian(h, "h")
     assert hermitian_defect(out) <= 1e-15
     with pytest.raises(ValueError, match="Hermitian"):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))

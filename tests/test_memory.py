@@ -1,21 +1,30 @@
-"""The torus builder's slabs, the byte budget's peak-bytes predictions, and bounded measure I/O."""
+"""The torus builder's slabs, the byte budget's peak-bytes predictions, and bounded measure I/O and t-grids."""
 
 import numpy as np
 import pytest
 
 import liemeasure.approximant as approximant
+import liemeasure.linalg as linalg
 from liemeasure.approximant import (
     ApproximantConfig,
+    _lie_peak_bytes,
     build_measure_bruteforce,
     build_measure_dp,
     composition_locations,
     compositions,
+    lie_approximant,
     n_convex_hull,
 )
-from liemeasure.experiments import convergence_study
+from liemeasure.experiments import _study_peak_bytes, _truth_peak_bytes, convergence_study, truth_exponential
 from liemeasure.linalg import BYTE_BUDGET, ResourceLimitError, _tuple_peak_bytes, guarded_count
-from liemeasure.measure import DiscreteMatrixMeasure, laplace_transform, read_measure, write_measure
-from liemeasure.sampling import hermitian_with_spectrum, random_matrix, spaced_values
+from liemeasure.measure import (
+    DiscreteMatrixMeasure,
+    _transform_peak_bytes,
+    laplace_transform,
+    read_measure,
+    write_measure,
+)
+from liemeasure.sampling import hermitian_with_spectrum, random_hermitian, random_matrix, spaced_values
 
 # a grid size per cluster count, kept small: (N+1)**(l-1) points
 STEPS = {1: 9, 2: 12, 3: 6, 4: 4}
@@ -208,3 +217,43 @@ def test_transform_peak_is_bounded(traced_peak):
     values, peak = traced_peak(lambda: laplace_transform(m, grid))
     assert values.shape == (23, 3, 3)
     assert peak < 4 * 2**20
+
+
+def _grid_calls(a, b, t, m):
+    """(call, predicted peak bytes) of each guarded t-grid evaluation on the grid t, m a measure of the pair."""
+    points, n = t.size, a.shape[0]
+    return {
+        "truth_exponential": (lambda: truth_exponential(a, b, t), _truth_peak_bytes(points, n)),
+        # N = 7 = 0b111: every squaring is also multiplied in, so the matrix power holds the most
+        "lie_approximant": (lambda: lie_approximant(a, b, t, 7), _lie_peak_bytes(points, n)),
+        "laplace_transform": (lambda: laplace_transform(m, t), _transform_peak_bytes(points, len(m), n)),
+        # a doubling schedule keeps one transform at a time
+        "convergence_study": (
+            lambda: convergence_study(a, b, (2, 4, 8, 16, 32), t_grid=t), _study_peak_bytes(points, n, 1)
+        ),
+    }
+
+
+@pytest.mark.parametrize("points, n", [(500, 8), (250, 16)])
+@pytest.mark.parametrize("what", ["truth_exponential", "lie_approximant", "laplace_transform", "convergence_study"])
+def test_grid_peak_bytes_prediction(rng, traced_peak, points, n, what):
+    # a Hermitian pair, so truth_exponential cross-checks every real point, and an A of two clusters
+    a, b = hermitian_with_spectrum(rng, [0.0, 1.0], [n - 1, 1]), random_hermitian(rng, n)
+    t = np.linspace(-1.0, 1.0, points)
+    call, predicted = _grid_calls(a, b, t, build_measure_dp(a, b, ApproximantConfig(N=16)))[what]
+    _, peak = traced_peak(call)
+    assert peak <= predicted <= 2 * peak
+
+
+@pytest.mark.parametrize("what", ["truth_exponential", "lie_approximant", "laplace_transform", "convergence_study"])
+def test_grid_evaluations_refuse_past_the_byte_budget(rng, monkeypatch, what):
+    a, b = hermitian_with_spectrum(rng, [0.0, 1.0], [2, 1]), random_matrix(rng, 3)
+    t = np.linspace(-1.0, 1.0, 101)
+    m = build_measure_dp(a, b, ApproximantConfig(N=8))
+    call, need = _grid_calls(a, b, t, m)[what]
+    monkeypatch.setattr(linalg, "BYTE_BUDGET", 10_000)
+    label = "t-grid points: 101"
+    if what == "laplace_transform":
+        label = rf"transform coefficients \(101 t-points x {len(m)} atoms\): {101 * len(m)}"
+    with pytest.raises(ResourceLimitError, match=rf"^{label} would need {need} bytes, over the budget of 10000 bytes$"):
+        call()

@@ -80,7 +80,7 @@ def test_every_lemma_is_pinned():
 @pytest.mark.parametrize("fn", LEMMAS, ids=lambda fn: fn.__name__)
 def test_draw_phase_leaves_the_generator_where_the_trial_loop_did(fn, seed):
     rng = np.random.default_rng([seed, _LEMMA_INDEX[fn]])
-    assert fn(rng, 50, 4, 0.0).passed
+    assert fn(rng, 50, 4).passed
     assert int(rng.integers(2**63)) == DRAW_PINS[fn.__name__][seed - 1]
 
 
@@ -266,7 +266,7 @@ def test_stacked_decompose_equals_single_calls_bit_for_bit(rng, n):
 def test_stacked_lie_approximants_equal_single_calls_bit_for_bit(rng, t):
     a = np.stack([random_hermitian(rng, 3) for _ in range(4)])
     b = np.stack([random_matrix(rng, 3) for _ in range(4)])
-    got = approximant._lie_approximants(_hermitian_stack(a, 1e-9, "a"), b, t, 6)
+    got = approximant._lie_approximants(_hermitian_stack(a, "a"), b, t, 6)
     assert got.shape == (4,) + np.shape(t) + (3, 3)
     for x, y, values in zip(a, b, got):
         assert values.tobytes() == lie_approximant(x, y, t, 6).tobytes()
