@@ -7,7 +7,6 @@ tripped, 4 verification failure.
 
 import argparse
 import functools
-import io
 import math
 import re
 import sys
@@ -36,7 +35,7 @@ from .linalg import (
     read_matrix,
 )
 from .measure import (
-    _write_rows,
+    _write_table,
     laplace_transform,
     read_measure,
     support_interval,
@@ -69,8 +68,9 @@ class _Parser(argparse.ArgumentParser):
 def parse_t_grid(spec: str) -> np.ndarray:
     """Parse "start:stop:step" with an optional "+ci" imaginary pair suffix.
 
-    A value that reads as inf is malformed; a count past LATTICE_LIMIT, one
-    past the float range too, is refused before any point is formed.
+    A value that reads as inf, or a point start + i*step past the float
+    range, is malformed; a count past LATTICE_LIMIT, one past the float range
+    too, is refused before any point is formed.
     """
     m = _GRID_RE.match(spec.strip())
     if m is None:
@@ -83,9 +83,13 @@ def parse_t_grid(spec: str) -> np.ndarray:
         raise _UsageError("t grid step must be positive")
     if stop < start:
         raise _UsageError("t grid stop must not precede start")
-    steps = (stop - start) / step  # inf once the count leaves the float range
-    count = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else steps
+    # not (stop - start) / step, whose span may leave the float range while the count does not;
+    # inf, or inf - inf, once the count leaves it
+    steps = stop / step - start / step if stop > start else 0.0
+    count = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
     guarded_count("t-grid points", count + 2 * (imag != 0.0), 1, LATTICE_LIMIT)
+    if not math.isfinite(start + (count - 1) * step):  # the last point is the largest
+        raise _UsageError(f"bad t grid {spec!r}; a point start + i*step leaves the float range")
     points = (start + np.arange(count) * step).astype(complex)
     if imag != 0.0:
         points = np.append(points, [complex(0.0, imag), complex(0.0, -imag)])
@@ -105,14 +109,6 @@ def parse_schedule(spec: str) -> tuple[int, ...]:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
 
 
 # ----------------------------------------------------------------- commands
@@ -152,10 +148,8 @@ def cmd_transform(args) -> int:
         if m.N is not None:
             err_ln = batched_operator_norms(values - lie_approximant(a, b, grid, m.N))
         err_truth = batched_operator_norms(values - truth_exponential(a, b, grid))
-    buf = io.StringIO()
-    buf.write("t_re,t_im,err_vs_LN,err_vs_truth\n")
-    _write_rows(buf, "%.17g,%.17g,%.17g,%.17g\n", [np.stack([grid.real, grid.imag, err_ln, err_truth], axis=1)])
-    _write_text(args.out, buf.getvalue())
+    columns = [c.reshape(grid.size, 1) for c in (grid.real, grid.imag, err_ln, err_truth)]
+    _write_table(args.out, "t_re,t_im,err_vs_LN,err_vs_truth\n", "%.17g,%.17g,%.17g,%.17g\n", columns)
     return 0
 
 
@@ -221,10 +215,8 @@ def cmd_plot(args) -> int:
     traces = trace_measure(m).weights[:, 0, 0]
     dat_path = args.out + ".dat"
     gp_path = args.out + ".gp"
-    columns = (m.locations, norms, traces.real, traces.imag)
-    with open(dat_path, "w", encoding="ascii") as fh:
-        fh.write("# lambda\topnorm\ttrace_re\ttrace_im\n")
-        _write_rows(fh, "%.17g\t%.17g\t%.17g\t%.17g\n", [c.reshape(len(m), 1) for c in columns])
+    columns = [c.reshape(len(m), 1) for c in (m.locations, norms, traces.real, traces.imag)]
+    _write_table(dat_path, "# lambda\topnorm\ttrace_re\ttrace_im\n", "%.17g\t%.17g\t%.17g\t%.17g\n", columns)
     lo, hi = support_interval(m)
     pad = 0.05 * max(hi - lo, 1.0)
     dat_name = dat_path.rsplit("/", 1)[-1]
@@ -238,7 +230,7 @@ def cmd_plot(args) -> int:
         f'     "{dat_name}" using 1:3 with points pt 6 title "trace (real part)"',
         "",
     ])
-    _write_text(gp_path, script)
+    _write_table(gp_path, script)
     print(f"wrote {dat_path} and {gp_path}")
     return 0
 

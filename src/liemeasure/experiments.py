@@ -29,7 +29,7 @@ from .linalg import (
 from .measure import (
     _CHUNK_NUMBERS,
     _transform_peak_bytes,
-    _write_rows,
+    _write_table,
     hermitian_deviation,
     laplace_transform,
     moment,
@@ -234,11 +234,11 @@ def _study_peak_bytes(points: int, n: int, kept: int) -> int:
     The truths stay alive throughout; e^(ta+b) peaks alone, and each build adds
     to the kept transforms lie_approximant's peak, or a transform and its
     difference from the kept one. The transform's coefficients take at most
-    60 * _CHUNK_NUMBERS bytes for a measure of up to _CHUNK_NUMBERS / 2
+    40 * _CHUNK_NUMBERS bytes for a measure of up to _CHUNK_NUMBERS / 2
     atoms; a larger measure's are left to laplace_transform's own guard.
     """
     grid = 16 * points * n * n
-    transform = _transform_peak_bytes(points, 0, n) + 60 * _CHUNK_NUMBERS + grid
+    transform = _transform_peak_bytes(points, 0, n) + 40 * _CHUNK_NUMBERS + grid
     return max(_truth_peak_bytes(points, n), grid * (1 + kept) + max(_lie_peak_bytes(points, n), transform))
 
 
@@ -398,9 +398,7 @@ def write_convergence_csv(path, report: ConvergenceReport) -> None:
     """
     names = [f.name for f in fields(ConvergencePoint)][:-1]  # the last, cauchy_distance, may be None
     rows = np.array([astuple(p)[:-1] for p in report.points], dtype=object).reshape(-1, len(names))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(names) + "\n")
-        _write_rows(fh, "%d" + ",%.17g" * (len(names) - 1) + "\n", [rows])
+    _write_table(path, ",".join(names) + "\n", "%d" + ",%.17g" * (len(names) - 1) + "\n", [rows])
 
 
 def convergence_report_to_json(report: ConvergenceReport) -> dict:
@@ -412,5 +410,4 @@ def convergence_report_to_json(report: ConvergenceReport) -> dict:
 
 
 def write_convergence_json(path, report: ConvergenceReport) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(canonical_json(convergence_report_to_json(report)) + "\n")
+    _write_table(path, canonical_json(convergence_report_to_json(report)) + "\n")

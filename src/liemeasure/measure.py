@@ -7,7 +7,9 @@ an entire matrix-valued function of complex t; moments are the derivatives
 of the transform at t = 0.
 """
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +150,7 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
     for start, stop in zip(edges, edges[1:]):
         coeff = np.multiply.outer(points[start:stop], m.locations)
         values[start:stop] = _contract(np.exp(coeff, out=coeff), m)
+        del coeff  # before the next chunk's is formed
     return out
 
 
@@ -159,11 +162,10 @@ def _chunk_points(atoms: int) -> int:
 def _transform_peak_bytes(points: int, atoms: int, n: int) -> int:
     """Predicted peak bytes of laplace_transform on a grid of `points` for a measure of `atoms` (n, n) weights."""
     chunk = min(points, _chunk_points(atoms))
-    # coefficient rows alive at once: a chunk's, the last chunk's until the next replaces
-    # it, and a lone row's padded pair; then one chunk's weighted sums, a quarter over
-    # for slack, and the two ufunc buffers of the outer product's cast
-    rows = min(points, 2 * chunk) + 2
-    return 16 * points * (n * n + 1) + 20 * (rows * atoms + chunk * n * n) + 32 * np.getbufsize()
+    # coefficient rows alive at once: a chunk's and a lone row's padded pair; then one
+    # chunk's weighted sums, a quarter over for slack, and the two ufunc buffers of the
+    # outer product's cast
+    return 16 * points * (n * n + 1) + 20 * ((chunk + 2) * atoms + chunk * n * n) + 32 * np.getbufsize()
 
 
 def moment(m: DiscreteMatrixMeasure, k: int) -> np.ndarray:
@@ -357,22 +359,29 @@ def read_measure(path) -> DiscreteMatrixMeasure:
     return measure_from_json(_load_json(path, object_hook=_pack_atom))
 
 
-def _write_rows(fh, row: str, columns, sep: str = "") -> None:
-    """Write `row` (one %-conversion per column) filled for every row of the columns, rows joined by sep.
+def _write_table(path, head: str, row: str = "", columns=(), sep: str = "", tail: str = "") -> None:
+    """Write head, then `row` (one %-conversion per column) filled for every row of the columns, then tail.
 
-    columns are (K, w) blocks that sit side by side; an object block keeps
-    Python ints exact for a %d. Each chunk of at most _CHUNK_NUMBERS numbers is
-    copied into one small array and formatted in one % operation.
-    '%.17g' % x and format(x, '.17g') are the same conversion, nan and -0
-    included, so the text matches canonical_json's number for number.
+    The target is the file at path, or sys.stdout, looked up at call time,
+    when path is None or "-". Rows are joined by sep. columns are (K, w)
+    blocks that sit side by side; an object block keeps Python ints exact for
+    a %d. Each chunk of at most _CHUNK_NUMBERS numbers is copied into one
+    small array and formatted in one % operation, so no more than a chunk's
+    text exists at once. '%.17g' % x and format(x, '.17g') are the same
+    conversion, nan and -0 included, so the text matches canonical_json's
+    number for number.
     """
-    count = len(columns[0])
-    step = max(1, _CHUNK_NUMBERS // sum(c.shape[1] for c in columns))
-    for start in range(0, count, step):
-        data = np.hstack([c[start:start + step] for c in columns])
-        if start:
-            fh.write(sep)
-        fh.write(sep.join([row] * len(data)) % tuple(data.ravel().tolist()))
+    count = len(columns[0]) if columns else 0
+    step = max(1, _CHUNK_NUMBERS // max(1, sum(c.shape[1] for c in columns)))
+    to_stdout = path is None or path == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w", encoding="ascii") as fh:
+        fh.write(head)
+        for start in range(0, count, step):
+            data = np.hstack([c[start:start + step] for c in columns])
+            if start:
+                fh.write(sep)
+            fh.write(sep.join([row] * len(data)) % tuple(data.ravel().tolist()))
+        fh.write(tail)
 
 
 def write_measure(path, m: DiscreteMatrixMeasure) -> None:
@@ -391,10 +400,7 @@ def write_measure(path, m: DiscreteMatrixMeasure) -> None:
         m.weights.real.reshape(count, n * n),
         m.weights.imag.reshape(count, n * n),
     )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f'{{"n":{n},"N":{nsteps},"atoms":[')
-        _write_rows(fh, atom, columns, ",")
-        fh.write("]}\n")
+    _write_table(path, f'{{"n":{n},"N":{nsteps},"atoms":[', atom, columns, ",", "]}\n")
 
 
 def write_trace_csv(path, m: DiscreteMatrixMeasure) -> None:
@@ -404,6 +410,5 @@ def write_trace_csv(path, m: DiscreteMatrixMeasure) -> None:
     as one trace_measure returned, keeps its weights.
     """
     traces = trace_measure(m).weights.reshape(len(m), 1)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("lambda,weight_re,weight_im\n")
-        _write_rows(fh, "%.17g,%.17g,%.17g\n", (m.locations.reshape(len(m), 1), traces.real, traces.imag))
+    _write_table(path, "lambda,weight_re,weight_im\n", "%.17g,%.17g,%.17g\n",
+                 (m.locations.reshape(len(m), 1), traces.real, traces.imag))

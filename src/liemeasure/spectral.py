@@ -45,10 +45,14 @@ class SpectralDecomposition:
         labels = np.asarray(self.labels)
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("eigenvalues must be a non-empty 1-D array")
+        if not np.isfinite(lam).all():
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(lam) <= 0):
             raise ValueError("eigenvalues must be strictly increasing")
         if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1]:
             raise ValueError(f"vectors must be a square matrix, got shape {vecs.shape}")
+        if not np.isfinite(vecs).all():  # a complex entry is finite when both parts are
+            raise ValueError("vectors must be finite")
         if labels.shape != (vecs.shape[0],) or labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be {vecs.shape[0]} integers, one per column of vectors")
         if set(labels.tolist()) != set(range(lam.size)):

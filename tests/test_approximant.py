@@ -142,6 +142,52 @@ def test_dp_matches_bruteforce(rng):
         assert np.abs(m_dp.weights - m_bf.weights).max() <= 1e-10
 
 
+def _weights_by_composition(build, a, b, n_steps):
+    """(compositions(n_steps, l), the weight of each row): one atom per row, matched by location."""
+    dec = decompose(a)
+    rows = compositions(n_steps, len(dec))
+    m = build(a, b, ApproximantConfig(N=n_steps, merge_tol=0.0))
+    order = np.argsort(composition_locations(rows, dec.eigenvalues, n_steps), kind="stable")
+    assert len(m) == len(rows)
+    np.testing.assert_allclose(m.locations, composition_locations(rows[order], dec.eigenvalues, n_steps), atol=1e-13)
+    weights = np.empty_like(m.weights)
+    weights[order] = m.weights
+    return rows, weights
+
+
+# A's spectrum with multiplicities, and N: the 3x3 generic spectrum, a repeated eigenvalue, four clusters
+TWIST_CASES = [
+    ((-1.0, 0.1 * math.sqrt(2.0), 0.4 + 1.0 / math.sqrt(3.0)), (1, 1, 1), 32),
+    ((-1.0, math.sqrt(2.0) - 1.0, math.sqrt(3.0)), (2, 1, 1), 24),
+    ((0.0, 1.0, math.sqrt(5.0), math.sqrt(7.0) + 1.0), (1, 1, 1, 1), 12),
+]
+
+
+@pytest.mark.parametrize("build, spectrum, multiplicities, n_steps", [
+    *[(build_measure_dp, *case) for case in TWIST_CASES],
+    (build_measure_bruteforce, *TWIST_CASES[0][:2], 6),
+])
+@pytest.mark.parametrize("hermitian_b", [True, False])
+def test_twisted_adjoint_identity(rng, build, spectrum, multiplicities, n_steps, hermitian_b):
+    # W_m(A, B)* = sum_pq E_p W_{m + e_p - e_q}(A, B*) E_q, W zero off the compositions: exact at
+    # every N, though the weights themselves are far from Hermitian at finite N
+    a = hermitian_with_spectrum(rng, spectrum, multiplicities)
+    b = random_hermitian(rng, a.shape[0]) if hermitian_b else random_matrix(rng, a.shape[0])
+    rows, weights = _weights_by_composition(build, a, b, n_steps)
+    _, twin = _weights_by_composition(build, a, b.conj().T, n_steps)
+    index = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+    projectors, l = decompose(a).projectors, rows.shape[1]
+    want = np.zeros_like(weights)
+    for p, q in itertools.product(range(l), repeat=2):
+        shifted = rows + np.eye(l, dtype=rows.dtype)[p] - np.eye(l, dtype=rows.dtype)[q]
+        found = [(i, index[row]) for i, row in enumerate(map(tuple, shifted.tolist())) if row in index]
+        at, source = np.array(found).T
+        want[at] += projectors[p] @ twin[source] @ projectors[q]
+    adjoint = weights.conj().swapaxes(1, 2)
+    assert np.abs(adjoint - want).max() <= 1e-13 * math.exp(operator_norm(b))
+    assert np.abs(adjoint - weights).max() > 1e-3  # not passed by Hermitian weights
+
+
 def _unique_count_rows(l, n_steps):
     """The grouping the coded one replaces: np.unique over the (l**n_steps, l) count rows of every tuple."""
     idx = np.array(list(itertools.product(range(l), repeat=n_steps)))

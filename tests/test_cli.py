@@ -12,6 +12,7 @@ import scipy.linalg
 
 import liemeasure.cli as cli
 import liemeasure.linalg as linalg
+import liemeasure.measure as measure_module
 from liemeasure.cli import main, parse_schedule, parse_t_grid
 from liemeasure.approximant import _torus_peak_bytes
 from liemeasure.linalg import BYTE_BUDGET, write_matrix
@@ -35,6 +36,8 @@ def test_parse_t_grid():
     assert grid[-2] == 2j and grid[-1] == -2j and len(grid) == 7
     # endpoint within roundoff of the step survives
     assert len(parse_t_grid("0:0.3:0.1")) == 4
+    # a span past the float range, counted without forming it: two points, both within it
+    assert parse_t_grid("-1e308:1e308:1.5e308").tolist() == [-1e308, -1e308 + 1.5e308]
     for bad in ("1:0:1", "0:1:0", "0:1", "a:b:c", "0:1:0.5+i"):
         with pytest.raises(cli._UsageError):
             parse_t_grid(bad)
@@ -302,6 +305,26 @@ def test_transform_is_deterministic(tmp_path, pair_files, capsys):
     assert open(t1, "rb").read() == open(t2, "rb").read()
 
 
+def test_transform_writes_the_same_bytes_to_every_target(tmp_path, pair_files, capsys, monkeypatch):
+    # stdout, --out - and a file, each written 2 rows (8 numbers) a chunk: 12 chunks for 23 rows
+    a_path, b_path = pair_files
+    out = str(tmp_path / "m.json")
+    assert main(["measure", "--a", a_path, "--b", b_path, "--steps", "8", "--out", out]) == 0
+    argv = ["transform", "--measure", out, "--a", a_path, "--b", b_path]
+    capsys.readouterr()
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    assert whole.count("\n") == 24
+    monkeypatch.setattr(measure_module, "_CHUNK_NUMBERS", 8)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == whole
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "t.csv").read_text(encoding="ascii") == whole
+
+
 def test_verify_command_passes(capsys):
     assert main(["verify", "--suite", "norms", "--trials", "40"]) == 0
     out = capsys.readouterr().out
@@ -437,10 +460,12 @@ def test_transform_grid_guard_exits_3_before_allocating(tmp_path, pair_files, ca
     assert want in err
 
 
-# the count of the first two leaves the float range; the last two read inf for a value
+# the count of the first two leaves the float range; the third names three points, the last
+# of which, -1e308 + 2 * 1e308, leaves it; the last two read inf for a value
 OVERSIZED_T_GRIDS = [
     ("0:1:1e-320", 3, "resource limit: t-grid points: inf exceeds the limit of 5000000\n"),
     ("0:1e308:1e-10", 3, "resource limit: t-grid points: inf exceeds the limit of 5000000\n"),
+    ("-1e308:1e308:1e308", 1, "bad t grid '-1e308:1e308:1e308'; a point start + i*step leaves the float range\n"),
     ("0:1:0.1+1e400i", 1, "bad t grid '0:1:0.1+1e400i'; start, stop, step and c must be finite\n"),
     ("0:1e400:1", 1, "bad t grid '0:1e400:1'; start, stop, step and c must be finite\n"),
 ]

@@ -15,6 +15,7 @@ from liemeasure.approximant import (
     lie_approximant,
     n_convex_hull,
 )
+from liemeasure.cli import main
 from liemeasure.experiments import _study_peak_bytes, _truth_peak_bytes, convergence_study, truth_exponential
 from liemeasure.linalg import BYTE_BUDGET, ResourceLimitError, _tuple_peak_bytes, guarded_count
 from liemeasure.measure import (
@@ -217,6 +218,20 @@ def test_transform_peak_is_bounded(traced_peak):
     values, peak = traced_peak(lambda: laplace_transform(m, grid))
     assert values.shape == (23, 3, 3)
     assert peak < 4 * 2**20
+
+
+def test_transform_command_peak_is_bounded(tmp_path, traced_peak):
+    # a one-atom measure over 100,001 points: the 2.8 MiB table is written a chunk at a time;
+    # its whole text in a buffer, with the buffer's copy and a stacked copy of the columns,
+    # peaked at 12.5 MiB
+    path = tmp_path / "one.json"
+    write_measure(path, DiscreteMatrixMeasure(np.array([0.5]), np.ones((1, 1, 1)), N=1))
+    table = tmp_path / "t.csv"
+    argv = ["transform", "--measure", str(path), "--tgrid=0:1:1e-5", "--out", str(table)]
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
+    assert table.read_text(encoding="ascii").count("\n") == 100_002
+    assert peak < 10 * 2**20
 
 
 def _grid_calls(a, b, t, m):

@@ -120,6 +120,12 @@ def test_spectral_decomposition_validates_ordering():
         SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2), np.array([0, 1]))
 
 
+@pytest.mark.parametrize("eigenvalues", [[np.nan], [1.0, np.inf], [-np.inf, 1.0]])
+def test_spectral_decomposition_refuses_non_finite_eigenvalues(eigenvalues):
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        SpectralDecomposition(np.array(eigenvalues), np.eye(len(eigenvalues)), np.arange(len(eigenvalues)))
+
+
 @pytest.mark.parametrize(
     "vectors, labels, message",
     [
@@ -127,6 +133,8 @@ def test_spectral_decomposition_validates_ordering():
         (np.eye(3), np.array([0, 1]), "one per column"),
         (np.eye(3), np.array([0, 2, 2]), "every cluster"),
         (np.eye(3), np.array([0.0, 1.0, 1.0]), "integers"),
+        (np.where(np.eye(3) == 0, np.nan, 1.0), np.array([0, 1, 1]), "vectors must be finite"),
+        (np.diag([1.0, complex(1.0, np.inf), 1.0]), np.array([0, 1, 1]), "vectors must be finite"),
     ],
 )
 def test_spectral_decomposition_validates_the_frame(vectors, labels, message):
