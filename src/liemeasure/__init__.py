@@ -6,7 +6,15 @@ at most a simplex-worth of points inside the spectral interval of A.  This
 package builds those measures, checks the norm and domination inequalities
 that control them, and tracks their convergence toward a representation of
 e^{tA+B}, including the 2x2 example where the limit fails to be non-negative.
+
+Importing the package before numpy sets OPENBLAS_NUM_THREADS to 1 unless it
+is already set: the matrices here are small, and OpenBLAS's worker threads,
+which scipy's LU solve wakes even for a 4x4 system, spin between calls.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy and scipy load OpenBLAS
 
 from .approximant import (
     ApproximantConfig,
