@@ -211,13 +211,13 @@ def cmd_counterexample(args) -> int:
 
 def cmd_plot(args) -> int:
     m = read_measure(args.measure)
+    lo, hi = support_interval(m)  # an empty measure is refused before any file is written
     norms = batched_operator_norms(m.weights)
     traces = trace_measure(m).weights[:, 0, 0]
     dat_path = args.out + ".dat"
     gp_path = args.out + ".gp"
     columns = [c.reshape(len(m), 1) for c in (m.locations, norms, traces.real, traces.imag)]
     _write_table(dat_path, "# lambda\topnorm\ttrace_re\ttrace_im\n", "%.17g\t%.17g\t%.17g\t%.17g\n", columns)
-    lo, hi = support_interval(m)
     pad = 0.05 * max(hi - lo, 1.0)
     dat_name = dat_path.rsplit("/", 1)[-1]
     script = "\n".join([

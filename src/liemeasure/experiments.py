@@ -16,6 +16,8 @@ import scipy.linalg
 
 from .approximant import MERGE_TOL, ApproximantConfig, _lie_peak_bytes, build_measure_dp, lie_approximant
 from .linalg import (
+    _hermitian_defects,
+    _hermitian_parts,
     as_int,
     as_matrix_pair,
     batched_operator_norms,
@@ -91,12 +93,10 @@ def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
         raise ValueError("t*a+b: entries must be finite")
     direct = scipy.linalg.expm(x)
     xs, es = x[t.imag == 0.0], direct[t.imag == 0.0]  # the real points, as (R, n, n)
-    hermitian = batched_operator_norms(xs - _adjoints(xs)) <= 1e-12 * np.maximum(
-        1.0, batched_operator_norms(xs)
-    )
+    hermitian = _hermitian_defects(xs) <= 1e-12 * np.maximum(1.0, batched_operator_norms(xs))
     xs, es = xs[hermitian], es[hermitian]
-    w, v = np.linalg.eigh((xs + _adjoints(xs)) / 2.0)
-    gaps = batched_operator_norms(es - (v * np.exp(w)[:, np.newaxis, :]) @ _adjoints(v))
+    w, v = np.linalg.eigh(_hermitian_parts(xs))
+    gaps = batched_operator_norms(es - (v * np.exp(w)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2))
     failed = gaps > cross_tol * np.maximum(1.0, batched_operator_norms(es))
     if failed.any():
         raise RuntimeError(
@@ -111,10 +111,6 @@ def _truth_peak_bytes(points: int, n: int) -> int:
     # at the Hermitian points, the eigenvectors and three temporaries; one more as
     # slack; and t, the eigenvalues and the per-point norms
     return 16 * points * (9 * n * n + n + 6)
-
-
-def _adjoints(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
 
 
 def exp_curve_derivative(a, b, order: int) -> np.ndarray:
@@ -259,7 +255,7 @@ def stahl_trace_study(a, b, n_schedule) -> StahlTraceReport:
     """Trace the measures of a Hermitian pair and compare against tr e^(ta+b) on default_t_grid().
 
     Diagnostic only: reports how far each traced transform sits from the true
-    trace and the most negative atom of the traced measure.
+    trace and the most negative atom of the traced measure. Each measure and its trace are freed before the next build.
     """
     sched = _check_schedule(n_schedule)
     grid = default_t_grid()
@@ -271,9 +267,8 @@ def stahl_trace_study(a, b, n_schedule) -> StahlTraceReport:
         m = build_measure_dp(ah, bh, ApproximantConfig(N=n_steps))
         tm = trace_measure(m)
         err = float(np.abs(laplace_transform(tm, grid)[:, 0, 0] - truths).max())
-        points.append(
-            TracePoint(n_steps, err, float(tm.weights.real.min()))
-        )
+        points.append(TracePoint(n_steps, err, float(tm.weights.real.min())))
+        del m, tm  # before the next build
     return StahlTraceReport(sched, points)
 
 
@@ -358,7 +353,7 @@ def counterexample_demo(n_schedule=None) -> CounterexampleResult:
 
     Checks the closed forms against the spectral module, then follows the
     first moment of M_N toward D along the schedule, recording the error and
-    the first N at which the moment's determinant already turns negative.
+    the first N at which the moment's determinant already turns negative. Each M_N is freed before the next build.
     """
     sched = _check_schedule(COUNTEREXAMPLE_SCHEDULE if n_schedule is None else n_schedule)
     defect = check_counterexample_closed_forms()
@@ -377,6 +372,7 @@ def counterexample_demo(n_schedule=None) -> CounterexampleResult:
         rows.append((n_steps, m1, err))
         if onset is None and float(np.linalg.det(m1).real) < 0.0:
             onset = n_steps
+        del m  # before the next build
     return CounterexampleResult(
         d_matrix=d,
         det_d=det_d,

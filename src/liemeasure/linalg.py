@@ -131,7 +131,7 @@ def as_matrix_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def operator_norm(s) -> float:
     """Largest singular value; the same value as np.linalg.norm(s, 2), without its dispatch."""
-    return float(np.linalg.svd(as_matrix(s), compute_uv=False)[0])
+    return float(batched_operator_norms(as_matrix(s)[np.newaxis])[0])
 
 
 def entry_abs_sum(s) -> float:
@@ -141,8 +141,7 @@ def entry_abs_sum(s) -> float:
 
 def hermitian_defect(s) -> float:
     """Operator norm of s - s*."""
-    m = as_matrix(s)
-    return float(np.linalg.svd(m - m.conj().T, compute_uv=False)[0])
+    return float(_hermitian_defects(as_matrix(s)[np.newaxis])[0])
 
 
 def require_hermitian(s, name: str = "matrix") -> np.ndarray:
@@ -156,11 +155,28 @@ def require_hermitian(s, name: str = "matrix") -> np.ndarray:
 
 def _hermitian_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """require_hermitian of every matrix of a (k, n, n) stack from as_matrix, in stacked SVDs."""
-    adj = m.conj().swapaxes(1, 2)
-    defect = np.linalg.svd(m - adj, compute_uv=False)[:, 0]
-    if np.any(defect > HERMITIAN_TOL * np.linalg.svd(m, compute_uv=False)[:, 0]):
+    if np.any(_hermitian_defects(m) > HERMITIAN_TOL * batched_operator_norms(m)):
         raise ValueError(f"{name}: not Hermitian within tolerance {HERMITIAN_TOL:g}")
-    return (m + adj) / 2.0
+    return _hermitian_parts(m)
+
+
+def _hermitian_defects(m: np.ndarray) -> np.ndarray:
+    """||m - m*|| of each matrix of a (k, n, n) stack; m - m* is formed in the one array that holds m*."""
+    defect = np.conj(np.swapaxes(m, 1, 2))
+    np.subtract(m, defect, out=defect)
+    return batched_operator_norms(defect)
+
+
+def _hermitian_parts(m: np.ndarray) -> np.ndarray:
+    """(m + m*)/2 of a matrix or of each matrix of a (..., n, n) stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _psd_stack(m: np.ndarray) -> np.ndarray:
+    """is_psd of every matrix of a (k, n, n) stack from as_matrix, as a (k,) bool array: the one PSD rule."""
+    tol = HERMITIAN_TOL * np.maximum(1.0, batched_operator_norms(m))
+    lowest = np.linalg.eigvalsh(_hermitian_parts(m))[:, 0]
+    return (_hermitian_defects(m) <= tol) & (lowest >= -tol)
 
 
 def matrix_exp(x) -> np.ndarray:
@@ -169,11 +185,11 @@ def matrix_exp(x) -> np.ndarray:
 
 
 def is_psd(s) -> bool:
-    """True iff s is Hermitian (within HERMITIAN_TOL) with min eigenvalue >= -HERMITIAN_TOL*max(1, ||s||)."""
-    h = require_hermitian(s, "s")
-    evs = np.linalg.eigvalsh(h)
-    scale = max(1.0, float(np.abs(evs).max())) if evs.size else 1.0
-    return bool(evs.min() >= -HERMITIAN_TOL * scale)
+    """True iff s is Hermitian and the least eigenvalue of (s + s*)/2 is >= 0, each within HERMITIAN_TOL*max(1, ||s||).
+
+    A matrix that is not Hermitian within that tolerance gives False, not an error.
+    """
+    return bool(_psd_stack(as_matrix(s, "s")[np.newaxis])[0])
 
 
 def batched_operator_norms(stack: np.ndarray) -> np.ndarray:

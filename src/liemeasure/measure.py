@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    HERMITIAN_TOL,
     LATTICE_LIMIT,
     _GcPaused,
+    _hermitian_defects,
     _is_real,
     _load_json,
+    _psd_stack,
     _re_im,
     as_int,
     batched_operator_norms,
     guarded_count,
-    hermitian_defect,
 )
 
 __all__ = [
@@ -200,25 +200,14 @@ def trace_measure(m: DiscreteMatrixMeasure) -> DiscreteMatrixMeasure:
 
 
 def is_nonnegative_measure(m: DiscreteMatrixMeasure) -> bool:
-    """True iff every atom weight is Hermitian positive semidefinite within HERMITIAN_TOL."""
-    for w in m.weights:
-        scale = max(1.0, float(np.abs(w).max()) * m.dim)
-        if hermitian_defect(w) > HERMITIAN_TOL * scale:
-            return False
-        h = (w + w.conj().T) / 2.0
-        if float(np.linalg.eigvalsh(h).min()) < -HERMITIAN_TOL * scale:
-            return False
-    return True
+    """True iff every atom weight passes is_psd, a slab of at most _CHUNK_NUMBERS entries at a time."""
+    step = max(1, _CHUNK_NUMBERS // (m.dim * m.dim))
+    return all(_psd_stack(m.weights[start:start + step]).all() for start in range(0, len(m), step))
 
 
 def hermitian_deviation(m: DiscreteMatrixMeasure) -> float:
     """max over atoms of ||W_k - W_k*||; zero when every weight is Hermitian."""
-    if not len(m):
-        return 0.0
-    # W - W* formed in the one array that holds W*
-    defect = np.conj(np.swapaxes(m.weights, 1, 2))
-    np.subtract(m.weights, defect, out=defect)
-    return float(batched_operator_norms(defect).max())
+    return float(_hermitian_defects(m.weights).max()) if len(m) else 0.0
 
 
 def transform_distance(m1: DiscreteMatrixMeasure, m2: DiscreteMatrixMeasure, t_grid) -> float:

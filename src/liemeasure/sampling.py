@@ -16,7 +16,7 @@ between its rng calls.
 
 import numpy as np
 
-from .linalg import batched_operator_norms, operator_norm
+from .linalg import _hermitian_parts, batched_operator_norms, operator_norm
 
 __all__ = [
     "unit_disc_entries",
@@ -99,7 +99,7 @@ def form_matrices(scale, radius2, angle) -> np.ndarray:
 
 def form_hermitian(m: np.ndarray) -> np.ndarray:
     """(m + m*)/2 of each matrix of a (..., n, n) stack."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return _hermitian_parts(m)
 
 
 def form_unitaries(re: np.ndarray, im: np.ndarray) -> np.ndarray:

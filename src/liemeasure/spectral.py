@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _hermitian_stack, as_int, as_matrix
+from .linalg import _hermitian_parts, _hermitian_stack, as_int, as_matrix
 
 __all__ = ["CLUSTER_TOL", "SpectralDecomposition", "decompose", "apply_function", "scaled_exp"]
 
@@ -80,11 +80,8 @@ class SpectralDecomposition:
     @cached_property
     def projectors(self) -> np.ndarray:
         """(l, n, n), read-only: (p + p*)/2 for p = V_j V_j*, V_j = V[:, labels == j]."""
-        out = np.empty((len(self),) + self.vectors.shape, dtype=np.complex128)
-        for j, proj in enumerate(out):
-            block = self.vectors[:, self.labels == j]
-            p = block @ block.conj().T
-            proj[...] = (p + p.conj().T) / 2.0
+        blocks = [self.vectors[:, self.labels == j] for j in range(len(self))]
+        out = _hermitian_parts(np.stack([block @ block.conj().T for block in blocks]))
         out.flags.writeable = False
         return out
 

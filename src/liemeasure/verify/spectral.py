@@ -3,7 +3,7 @@
 import numpy as np
 
 from .. import sampling
-from ..linalg import batched_operator_norms, matrix_exp
+from ..linalg import _hermitian_defects, batched_operator_norms, matrix_exp
 from ..spectral import CLUSTER_TOL, _decompose_stack, scaled_exp
 from .harness import LemmaResult, as_payload, dim, fields, groups, run_trials, stack
 
@@ -50,11 +50,11 @@ def lemma_projector_algebra(rng, trials, max_dim):
             defects = [
                 (np.add.reduce(pr, axis=1) - np.eye(n))[:, np.newaxis],
                 pr @ pr - pr,
-                pr - pr.conj().swapaxes(2, 3),
                 pr[:, [j for j, _ in pairs]] @ pr[:, [k for _, k in pairs]],
             ]
-            norms = batched_operator_norms(np.concatenate(defects, axis=1).reshape(-1, n, n))
-            out[idx] = 1e-10 - norms.reshape(len(idx), -1).max(axis=1)
+            norms = batched_operator_norms(np.concatenate(defects, axis=1).reshape(-1, n, n)).reshape(len(idx), -1)
+            hermitian = _hermitian_defects(pr.reshape(-1, n, n)).reshape(len(idx), -1)
+            out[idx] = 1e-10 - np.maximum(norms.max(axis=1), hermitian.max(axis=1))
         return out
 
     return _spectral_lemma("projector-algebra", rng, trials, max_dim, margins_of)

@@ -384,6 +384,16 @@ def test_an_overflowing_trace_exits_2_naming_its_atom(tmp_path, capsys):
     assert captured.err == "invalid input: the trace of atom 1 leaves the float range\n"
 
 
+def test_plot_of_an_empty_measure_exits_2_and_writes_no_file(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n":1,"N":null,"atoms":[]}')
+    assert main(["plot", "--measure", str(path), "--out", str(tmp_path / "fig")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: empty measure has no support interval\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json"]
+
+
 def test_plot_command(tmp_path, pair_files, capsys):
     a_path, b_path = pair_files
     out = str(tmp_path / "m.json")

@@ -172,6 +172,12 @@ def test_is_psd():
     assert is_psd(np.zeros((3, 3), dtype=complex))
 
 
+def test_is_psd_of_a_non_hermitian_matrix_is_false():
+    assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    # PSD in its Hermitian part, but s - s* is 1e-6 against a tolerance of 2e-9
+    assert not is_psd(np.array([[2.0, 1e-6], [0.0, 2.0]], dtype=complex))
+
+
 def test_tuple_factor_products_enumeration_order():
     f0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     f1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

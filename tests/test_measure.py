@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import liemeasure.measure as measure_module
-from liemeasure.linalg import canonical_json, matrix_exp, operator_norm
+from liemeasure.linalg import canonical_json, is_psd, matrix_exp, operator_norm
 from liemeasure.measure import (
     DiscreteMatrixMeasure,
     hermitian_deviation,
@@ -143,6 +143,58 @@ def test_is_nonnegative_measure():
     )
     assert not is_nonnegative_measure(indefinite)
     assert not is_nonnegative_measure(two_atom_measure())  # non-Hermitian weight
+
+
+def _boundary_weights(s):
+    """Matrices of norm about s whose least eigenvalue or Hermitian defect sits half a tolerance inside or outside.
+
+    With tol = 1e-9 max(1, s): diag(s, -f tol) has least eigenvalue -f tol,
+    and [[s, f tol], [0, s]] has Hermitian defect f tol.
+    """
+    tol = 1e-9 * max(1.0, s)
+    out = []
+    for f in (0.5, 1.5):
+        out.append(np.diag([s, -f * tol]).astype(complex))
+        out.append(np.array([[s, f * tol], [0.0, s]], dtype=complex))
+    return out
+
+
+@pytest.mark.parametrize("s", [0.25, 1.0, 1e3])
+def test_is_psd_and_is_nonnegative_measure_agree_atom_by_atom(rng, s):
+    weights = _boundary_weights(s) + [
+        np.diag([s, 0.0]).astype(complex),
+        np.array([[0.0, s], [0.0, 0.0]], dtype=complex),  # far from Hermitian
+        np.array([[s, s], [s, -s]], dtype=complex),  # Hermitian, indefinite
+    ]
+    # half a tolerance inside each bound passes, half outside fails; diag(s, -1.5 tol)
+    # passed the old max(1, n max|w_ij|) scale of is_nonnegative_measure at s >= 1
+    want = [True, True, False, False, True, False, False]
+    for w, expected in zip(weights, want):
+        assert is_psd(w) is expected
+        assert is_nonnegative_measure(DiscreteMatrixMeasure(np.zeros(1), w[np.newaxis])) is expected
+    x = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
+    gram = x @ x.conj().swapaxes(1, 2)
+    for w in gram:
+        assert is_psd(w) is is_nonnegative_measure(DiscreteMatrixMeasure(np.zeros(1), w[np.newaxis])) is True
+
+
+def test_is_nonnegative_measure_checks_every_slab():
+    # 64 x 64 weights: 16 atoms a slab, so 40 atoms take three slabs
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((40, 64, 64)) + 1j * rng.standard_normal((40, 64, 64))
+    w = x @ x.conj().swapaxes(1, 2)
+    assert is_nonnegative_measure(DiscreteMatrixMeasure(np.arange(40.0), w))
+    w[37] -= 2 * np.linalg.eigvalsh(w[37])[-1] * np.eye(64)
+    assert not is_psd(w[37])
+    assert not is_nonnegative_measure(DiscreteMatrixMeasure(np.arange(40.0), w))
+
+
+def test_is_nonnegative_measure_holds_a_slab_not_the_stack(traced_peak):
+    # 100,000 2 x 2 atoms: 6.4 MB of weights, checked 16,384 atoms (1 MiB) at a time
+    m = DiscreteMatrixMeasure(np.arange(100_000.0), np.tile(np.eye(2, dtype=complex), (100_000, 1, 1)))
+    ok, peak = traced_peak(lambda: is_nonnegative_measure(m))
+    assert ok
+    assert peak <= 3 * 16 * measure_module._CHUNK_NUMBERS < m.weights.nbytes
 
 
 def test_hermitian_deviation():

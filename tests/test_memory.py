@@ -16,7 +16,15 @@ from liemeasure.approximant import (
     n_convex_hull,
 )
 from liemeasure.cli import main
-from liemeasure.experiments import _study_peak_bytes, _truth_peak_bytes, convergence_study, truth_exponential
+from liemeasure.experiments import (
+    _study_peak_bytes,
+    _truth_peak_bytes,
+    convergence_study,
+    counterexample_demo,
+    counterexample_pair,
+    stahl_trace_study,
+    truth_exponential,
+)
 from liemeasure.linalg import BYTE_BUDGET, ResourceLimitError, _tuple_peak_bytes, guarded_count
 from liemeasure.measure import (
     DiscreteMatrixMeasure,
@@ -132,6 +140,25 @@ def test_convergence_study_peaks_at_its_largest_build(rng, traced_peak):
     report, peak = traced_peak(lambda: convergence_study(a, b, schedule))
     assert [p.N for p in report.points] == list(schedule)
     assert peak <= approximant._torus_peak_bytes(2, 2048, 8)
+
+
+def test_stahl_trace_study_peaks_at_its_largest_build(rng, traced_peak):
+    # each measure and its trace measure are freed before the next build
+    a, b = hermitian_with_spectrum(rng, [0.0, 1.0], [4, 4]), random_hermitian(rng, 8)
+    schedule = tuple(16 * 2**i for i in range(8))
+    report, peak = traced_peak(lambda: stahl_trace_study(a, b, schedule))
+    assert [p.N for p in report.points] == list(schedule)
+    assert peak <= approximant._torus_peak_bytes(2, 2048, 8)
+
+
+def test_counterexample_demo_peaks_at_its_largest_build(traced_peak):
+    # M_1024, held through the N = 2048 build, would add about 13% to the build's own peak
+    a, b = counterexample_pair()
+    schedule = tuple(16 * 2**i for i in range(8))
+    _, build = traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=2048)))
+    result, peak = traced_peak(lambda: counterexample_demo(schedule))
+    assert [row[0] for row in result.moment1_by_n] == list(schedule)
+    assert peak <= 1.05 * build
 
 
 def test_a_one_cluster_build_stays_small_at_any_step_count(rng, traced_peak):
