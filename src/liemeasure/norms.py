@@ -17,7 +17,6 @@ from .linalg import (
     as_matrix,
     batched_operator_norms,
     matrix_exp,
-    operator_norm,
     tuple_factor_products,
 )
 
@@ -222,8 +221,15 @@ def _partition_products(projectors: np.ndarray, r: np.ndarray, count: int):
 def total_variation_bound(n: int, b) -> float:
     """n * e^(n*||b||), the a-priori total-variation bound for any step count; inf past the float range."""
     n = as_int(n, "n")
-    growth = n * operator_norm(b)
-    try:
-        return float(n * math.exp(growth))
-    except OverflowError:  # e^x leaves the float range just above x = 709
-        return math.inf
+    return float(_total_variation_bounds(n, as_matrix(b)[np.newaxis])[0])
+
+
+def _total_variation_bounds(n: int, b: np.ndarray) -> np.ndarray:
+    """total_variation_bound(n, b) of each matrix of a (k, n, n) stack, unchecked, the norms in one stacked SVD."""
+    out = []
+    for growth in (n * batched_operator_norms(b)).tolist():
+        try:
+            out.append(n * math.exp(growth))
+        except OverflowError:  # e^x leaves the float range just above x = 709
+            out.append(math.inf)
+    return np.array(out)

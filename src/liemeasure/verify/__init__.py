@@ -3,12 +3,14 @@
 Each lemma runs in two phases. The draw phase makes exactly the rng calls,
 in exactly the order, of a loop that draws and checks one trial at a time,
 and keeps only their raw numbers: it runs no linear algebra. The evaluate
-phase then groups the trials by shape, forms each group's random instances
-through the stacked formers of `sampling` (one QR per group for its
-unitaries), and computes every margin through stacked calls: one SVD, eigh
-or expm per group, and the builders' stacked cores over instances that
-share (n, l, N), a slab of matrices at a time. Each margin is bit for bit
-the one a lone trial gives.
+phase then groups the trials by shape and forms each group as a tuple of
+fields through the stacked formers of `sampling` (one QR per group for its
+unitaries): each field is a stack with one entry per trial, such as the
+(k, n, n) matrices a and b and the (k,) step counts N of a builder lemma.
+Every margin comes from those stacks in stacked calls: one SVD, eigh or
+expm per group, and the builders' stacked cores over instances that share
+(n, l, N), a slab of matrices at a time. Each margin is bit for bit the
+one a lone trial gives.
 
 A trial fails unless its margin is >= 0, so a NaN margin fails too. A lemma
 reports its first failing trial i: trials = i + 1, the worst margin over

@@ -13,7 +13,7 @@ from ..approximant import (
 )
 from ..linalg import _hermitian_stack, _tuple_peak_bytes, batched_operator_norms, matrix_exp, operator_norm
 from ..measure import laplace_transform, moment
-from .harness import BuildDraw, build_lemma, built_margins, fields, groups, matrices, stack
+from .harness import BuildDraw, build_lemma, built_margins, fields, groups, matrices
 
 
 def _builder_draw(max_dim, steps):
@@ -66,16 +66,15 @@ def lemma_dp_vs_bruteforce(rng, trials, max_dim):
 
     draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 7)))
     return build_lemma("dp-vs-bruteforce", rng, trials, draw, _builder_pairs,
-                       lambda cases: built_margins(cases, margin, peak, both))
+                       lambda a, b, N: built_margins(a, b, N, margin, peak, both))
 
 
 _TRANSFORM_POINTS = np.array([-1.0, -0.3, 0.0, 0.7, 1.0, 1j, -1j])
 
 
 def lemma_transform_identity(rng, trials, max_dim):
-    def margins(cases):
-        a, b = stack(cases, 0), stack(cases, 1)
-        ln = _lie_approximants(_hermitian_stack(a, name="a"), b, _TRANSFORM_POINTS, cases[0].N)
+    def margins(a, b, N):
+        ln = _lie_approximants(_hermitian_stack(a, name="a"), b, _TRANSFORM_POINTS, int(N[0]))
         tol = 1e-9 * np.maximum(1.0, batched_operator_norms(ln.reshape(-1, *a.shape[1:])))
         tol = tol.reshape(ln.shape[:2])
 
@@ -83,7 +82,7 @@ def lemma_transform_identity(rng, trials, max_dim):
             gaps = batched_operator_norms(laplace_transform(m, _TRANSFORM_POINTS) - ln[i])
             return float((tol[i] - gaps).min())
 
-        return built_margins(cases, margin)
+        return built_margins(a, b, N, margin)
 
     draw = _builder_draw(max_dim, lambda rng: int(rng.choice([4, 8, 16])))
     return build_lemma("transform-identity", rng, trials, draw, _builder_pairs, margins)
@@ -103,13 +102,13 @@ def lemma_support_in_hull(rng, trials, max_dim):
 
     draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 9)))
     return build_lemma("support-in-hull", rng, trials, draw, _builder_pairs,
-                       lambda cases: built_margins(cases, margin))
+                       lambda a, b, N: built_margins(a, b, N, margin))
 
 
 def lemma_total_mass(rng, trials, max_dim):
-    def margins(cases):
-        eb = matrix_exp(stack(cases, 1))
-        return built_margins(cases, lambda i, dec, m: 1e-10 - operator_norm(moment(m, 0) - eb[i]))
+    def margins(a, b, N):
+        eb = matrix_exp(b)
+        return built_margins(a, b, N, lambda i, dec, m: 1e-10 - operator_norm(moment(m, 0) - eb[i]))
 
     draw = _builder_draw(max_dim, lambda rng: int(rng.integers(1, 9)))
     return build_lemma("total-mass", rng, trials, draw, _builder_pairs, margins)
@@ -127,15 +126,14 @@ def lemma_commuting_exactness(rng, trials, max_dim):
     def form_pairs(draws):
         return sampling.form_commuting_pairs(*fields(d.a for d in draws))
 
-    def margins(cases):
-        a, b = stack(cases, 0), stack(cases, 1)
+    def margins(a, b, N):
         eb = matrix_exp(b)
-        # e^(ta+b) at each point t, a point's stack of every case at a time
+        # e^(ta+b) at each point t, a point's stack of every trial at a time
         ts = _COMMUTING_POINTS[:, np.newaxis, np.newaxis, np.newaxis]
         truths = matrix_exp((ts * a + b).reshape(-1, *a.shape[1:])).reshape(len(ts), *a.shape)
         # commuting_case_measure(a, b), from the build's own decomposition of a
         return built_margins(
-            cases, lambda i, dec, m: margin(_commuting_measure(dec, eb[i]), truths[:, i], m)
+            a, b, N, lambda i, dec, m: margin(_commuting_measure(dec, eb[i]), truths[:, i], m)
         )
 
     def margin(ref, truths, m):

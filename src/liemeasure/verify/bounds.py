@@ -6,8 +6,8 @@ from .. import sampling
 from ..approximant import _grouped_measures, _slabs, _tuple_products
 from ..linalg import _tuple_norm_sums, _tuple_peak_bytes
 from ..measure import total_variation
-from ..norms import _partition_products, total_variation_bound
-from .harness import BuildDraw, as_payload, build_lemma, built_margins, fields, matrices, run_trials, stack
+from ..norms import _partition_products, _total_variation_bounds
+from .harness import BuildDraw, as_payload, build_lemma, built_margins, fields, matrices, run_trials
 
 
 def _draw_generic_pair(rng, max_dim, max_steps):
@@ -27,11 +27,9 @@ def lemma_tv_bound(rng, trials, max_dim):
     def draw(rng):
         return _draw_generic_pair(rng, max_dim, 6)
 
-    def margins(cases):
-        def margin(i, dec, m):
-            return total_variation_bound(len(cases[i].a), cases[i].b) + 1e-8 - total_variation(m)
-
-        return built_margins(cases, margin)
+    def margins(a, b, N):
+        bounds = _total_variation_bounds(a.shape[1], b)
+        return built_margins(a, b, N, lambda i, dec, m: bounds[i] + 1e-8 - total_variation(m))
 
     return build_lemma("total-variation-bound", rng, trials, draw, _form_generic_pairs, margins)
 
@@ -47,11 +45,10 @@ def lemma_partition_product_bound(rng, trials, max_dim):
 
     def form(draws):
         weights, r, n_steps = fields(draws)
-        return list(zip(sampling.form_partitions(weights), r, n_steps.tolist()))
+        return sampling.form_partitions(weights), r, n_steps
 
-    def margins(cases):
-        projectors, r = stack(cases, 0), stack(cases, 1)
-        n_steps = cases[0][2]
+    def margins(projectors, r, n_steps):
+        n_steps = int(n_steps[0])
         k, l, n = projectors.shape[:3]
         out = np.empty(k)
         for part, _ in _slabs(k, 1, _tuple_peak_bytes(l, n_steps, n)):
@@ -61,7 +58,7 @@ def lemma_partition_product_bound(rng, trials, max_dim):
 
     return run_trials("partition-product-bound", rng, trials, draw,
                       lambda c: (len(c[1]), len(c[0]), c[2]), margins,
-                      lambda c: as_payload(r=c[1], parts=len(c[0]), N=c[2]), form)
+                      lambda projectors, r, n_steps: as_payload(r=r, parts=len(projectors), N=n_steps), form)
 
 
 def lemma_tuple_norm_regrouping(rng, trials, max_dim):
@@ -77,4 +74,4 @@ def lemma_tuple_norm_regrouping(rng, trials, max_dim):
         return norm_sum + 1e-10 - total_variation(m)
 
     return build_lemma("tuple-norm-regrouping", rng, trials, draw, _form_generic_pairs,
-                       lambda cases: built_margins(cases, margin, _tuple_peak_bytes, regrouped))
+                       lambda a, b, N: built_margins(a, b, N, margin, _tuple_peak_bytes, regrouped))

@@ -3,10 +3,11 @@
 run_trials draws every trial first, with the rng calls, in the order, of a
 loop that draws and checks one trial at a time. A draw holds only the raw
 numbers of those calls; no matrix is formed while the lemma draws. It then
-takes the draws of each shape a slab at a time, forms their cases through
-the stacked formers of `sampling`, hands the cases to the lemma's stacked
-evaluation, and reports the first failing trial. The builder lemmas share
-Build cases and blocks, which stack builds of one (n, l, N) through the
+takes the draws of each shape a slab at a time, forms their fields through
+the stacked formers of `sampling` (each field stacked along a first axis,
+one entry per draw), hands the fields to the lemma's stacked evaluation,
+and reports the first failing trial. The builder lemmas get (a, b, N)
+fields and blocks, which stack builds of one (n, l, N) through the
 builders' stacked cores.
 """
 
@@ -56,7 +57,7 @@ def groups(keys) -> list[list[int]]:
     return list(out.values())
 
 
-# (n, n) matrices an evaluation holds per case, about: its inputs, their stacked
+# (n, n) matrices an evaluation holds per draw, about: its inputs, their stacked
 # products and norms, or, beside a lemma's builds, the pair, e^(b/N) and the eigenbasis
 CASE_MATRICES = 16
 
@@ -66,15 +67,22 @@ def draw_trials(rng, trials: int, draw) -> list:
     return [draw(rng) for _ in range(trials)]
 
 
-def run_trials(name: str, rng, trials: int, draw, key, margins_of, payload, form=list) -> LemmaResult:
+def fields(draws) -> tuple:
+    """Each item of draws of one shape, stacked along a new first axis."""
+    return tuple(np.array(field) for field in zip(*draws))
+
+
+def run_trials(name: str, rng, trials: int, draw, key, margins_of, payload, form=fields) -> LemmaResult:
     """Draw every trial, form and evaluate the trials of each key together, report the first failure.
 
     draw(rng) makes one trial's draw with rng calls alone; key(draw) is a
-    tuple whose first entry is the matrix dimension n; form(draws) makes the
-    cases of a list of draws that share a key, in stacked calls (by default
-    a draw is its case); margins_of(cases) gives their margins, at most one
-    slab of cases of CASE_MATRICES each; payload(case) is a failure's
-    replay, whose case is formed again alone.
+    tuple whose first entry is the matrix dimension n; form(draws) makes a
+    tuple of fields of a list of draws that share a key, in stacked calls,
+    each field stacked along a first axis with one entry per draw (by
+    default, fields: each item of the draws stacked); margins_of(*fields)
+    gives their margins, at most one slab of draws of CASE_MATRICES each;
+    payload(*case) is a failure's replay, whose case is entry 0 of each
+    field of its draw formed alone.
     """
     draws = draw_trials(rng, trials, draw)
     margins = np.empty(trials)
@@ -82,12 +90,13 @@ def run_trials(name: str, rng, trials: int, draw, key, margins_of, payload, form
         n = key(draws[idx[0]])[0]
         for block, _ in _slabs(len(idx), 1, CASE_MATRICES * 16 * n * n):
             part = idx[block]
-            margins[part] = margins_of(form([draws[i] for i in part]))
-    return report(name, margins, lambda i: payload(form([draws[i]])[0]))
+            margins[part] = margins_of(*form([draws[i] for i in part]))
+    return report(name, margins, lambda i: payload(*(field[0] for field in form([draws[i]]))))
 
 
-def dim(case) -> tuple[int]:
-    return (len(case[0]),)
+def dim(draw) -> tuple[int]:
+    """(n,) of a draw whose first item is n long: an (n, n) matrix or n values."""
+    return (len(draw[0]),)
 
 
 def matrix_dim(draw) -> tuple[int]:
@@ -95,31 +104,9 @@ def matrix_dim(draw) -> tuple[int]:
     return (len(draw[1]),)
 
 
-def stack(cases, field: int = 0) -> np.ndarray:
-    return np.stack([case[field] for case in cases])
-
-
-def fields(draws) -> tuple:
-    """Each field of draws of one shape, stacked along a new first axis."""
-    return tuple(np.array(field) for field in zip(*draws))
-
-
 def matrices(draws) -> np.ndarray:
     """The stacked random_matrix of draw_matrix draws of one shape."""
     return form_matrices(*fields(draws))
-
-
-def matrix_cases(draws) -> list:
-    """The one-matrix cases (m,) of draw_matrix draws of one shape."""
-    return [(m,) for m in matrices(draws)]
-
-
-class Build(NamedTuple):
-    """One builder trial: the pair and the step count."""
-
-    a: np.ndarray
-    b: np.ndarray
-    N: int
 
 
 class BuildDraw(NamedTuple):
@@ -132,29 +119,30 @@ class BuildDraw(NamedTuple):
 
 
 def build_lemma(name: str, rng, trials: int, draw, form_pairs, margins_of) -> LemmaResult:
-    """run_trials over Build cases, evaluated by (n, N).
+    """run_trials over (a, b, N) fields, evaluated by (n, N).
 
     draw(rng) gives a BuildDraw; form_pairs(draws) gives the stacked a and b
-    of a list of BuildDraws.
+    of a list of BuildDraws; margins_of(a, b, N) gets the (k, n, n) stacks a
+    and b and the (k,) step counts N, all equal.
     """
     def form(draws):
-        a, b = form_pairs(draws)
-        return [Build(x, y, d.N) for x, y, d in zip(a, b, draws)]
+        return (*form_pairs(draws), np.array([d.N for d in draws]))
 
     return run_trials(name, rng, trials, draw, lambda d: (d.n, d.N), margins_of,
-                      lambda c: as_payload(a=c.a, b=c.b, N=c.N), form)
+                      lambda a, b, N: as_payload(a=a, b=b, N=N), form)
 
 
-def blocks(cases: list[Build], peak_bytes):
-    """(positions, decompositions, steps, config) of builds that share n and N, block by block.
+def blocks(a: np.ndarray, b: np.ndarray, N: np.ndarray, peak_bytes):
+    """(positions, decompositions, steps, config) of the builds of (a, b, N) fields, block by block.
 
-    One _prepare serves every case. A block holds cases of one cluster count
-    l, as many as the predicted peak_bytes(l, N, n) of one build fit one
-    slab, so a block's stacked builds peak at about one slab, or at one
-    build's own peak when that is larger.
+    One _prepare serves the whole stack, whose step counts N are equal. A
+    block holds builds of one cluster count l, as many as the predicted
+    peak_bytes(l, N, n) of one build fit one slab, so a block's stacked
+    builds peak at about one slab, or at one build's own peak when that is
+    larger.
     """
-    cfg = ApproximantConfig(N=cases[0].N)
-    decs, steps = _prepare(stack(cases, 0), stack(cases, 1), cfg)
+    cfg = ApproximantConfig(N=int(N[0]))
+    decs, steps = _prepare(a, b, cfg)
     n = steps.shape[1]
     for idx in groups(len(d) for d in decs):
         for block, _ in _slabs(len(idx), 1, peak_bytes(len(decs[idx[0]]), cfg.N, n)):
@@ -162,12 +150,12 @@ def blocks(cases: list[Build], peak_bytes):
             yield part, [decs[i] for i in part], steps[part], cfg
 
 
-def built_margins(cases: list[Build], margin, peak_bytes=_torus_peak_bytes, core=_torus_measures) -> np.ndarray:
-    """margin(i, decomposition, measure) of every case i, through a stacked builder core.
+def built_margins(a, b, N, margin, peak_bytes=_torus_peak_bytes, core=_torus_measures) -> np.ndarray:
+    """margin(i, decomposition, measure) of every build i of (a, b, N) fields, through a stacked builder core.
 
     A block's measures are freed before the next block is built.
     """
-    out = np.empty(len(cases))
-    for part, decs, steps, cfg in blocks(cases, peak_bytes):
+    out = np.empty(len(a))
+    for part, decs, steps, cfg in blocks(a, b, N, peak_bytes):
         out[part] = [margin(i, dec, m) for i, dec, m in zip(part, decs, core(decs, steps, cfg))]
     return out

@@ -5,7 +5,7 @@ import numpy as np
 from .. import sampling
 from ..linalg import batched_operator_norms, entry_abs_sum
 from ..norms import _inverse_triangle_sums
-from .harness import as_payload, dim, groups, matrices, matrix_cases, matrix_dim, run_trials, stack
+from .harness import as_payload, dim, matrices, matrix_dim, run_trials
 
 
 def lemma_entry_sum_dominates_norm(rng, trials, max_dim):
@@ -13,12 +13,11 @@ def lemma_entry_sum_dominates_norm(rng, trials, max_dim):
         n = int(rng.integers(1, max_dim + 1))
         return sampling.draw_matrix(rng, n, scale=float(rng.uniform(0.1, 3.0)))
 
-    def margins(cases):
-        m = stack(cases)
+    def margins(m):
         return np.array([entry_abs_sum(x) for x in m]) + 1e-12 - batched_operator_norms(m)
 
     return run_trials("entry-sum-dominates-norm", rng, trials, draw, matrix_dim, margins,
-                      lambda c: as_payload(m=c[0]), matrix_cases)
+                      lambda m: as_payload(m=m), lambda draws: (matrices(draws),))
 
 
 def lemma_nonneg_entry_sum_bound(rng, trials, max_dim):
@@ -26,13 +25,12 @@ def lemma_nonneg_entry_sum_bound(rng, trials, max_dim):
         n = int(rng.integers(1, max_dim + 1))
         return (sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 3.0))),)
 
-    def margins(cases):
-        s = stack(cases)
+    def margins(s):
         n = s.shape[1]
         return n * batched_operator_norms(s) + 1e-10 - s.reshape(len(s), -1).sum(axis=1)
 
     return run_trials("nonneg-entry-sum-bound", rng, trials, draw, dim, margins,
-                      lambda c: as_payload(s=c[0]))
+                      lambda s: as_payload(s=s))
 
 
 def lemma_inverse_triangle(rng, trials, max_dim):
@@ -43,15 +41,13 @@ def lemma_inverse_triangle(rng, trials, max_dim):
             for _ in range(int(rng.integers(2, 6)))
         ]
 
-    def margins(cases):
-        out = np.empty(len(cases))
-        for idx in groups(map(len, cases)):
-            lhs, rhs = _inverse_triangle_sums(np.array([cases[i] for i in idx]))
-            out[idx] = rhs + 1e-10 - lhs
-        return out
+    def margins(parts):
+        lhs, rhs = _inverse_triangle_sums(parts)
+        return rhs + 1e-10 - lhs
 
-    return run_trials("inverse-triangle", rng, trials, draw, dim, margins,
-                      lambda c: as_payload(part0=c[0], count=len(c)))
+    return run_trials("inverse-triangle", rng, trials, draw, lambda d: (len(d[0]), len(d)), margins,
+                      lambda parts: as_payload(part0=parts[0], count=len(parts)),
+                      lambda draws: (np.array(draws),))
 
 
 def lemma_submultiplicative(rng, trials, max_dim):
@@ -62,13 +58,12 @@ def lemma_submultiplicative(rng, trials, max_dim):
         return a, b
 
     def form(draws):
-        return list(zip(matrices([d[0] for d in draws]), matrices([d[1] for d in draws])))
+        return matrices([d[0] for d in draws]), matrices([d[1] for d in draws])
 
-    def margins(cases):
-        a, b = stack(cases, 0), stack(cases, 1)
+    def margins(a, b):
         norms = batched_operator_norms(np.concatenate([a, b, a @ b]))
-        na, nb, nab = norms.reshape(3, len(cases))
+        na, nb, nab = norms.reshape(3, len(a))
         return na * nb + 1e-10 - nab
 
     return run_trials("submultiplicative-norm", rng, trials, draw,
-                      lambda d: matrix_dim(d[0]), margins, lambda c: as_payload(a=c[0], b=c[1]), form)
+                      lambda d: matrix_dim(d[0]), margins, lambda a, b: as_payload(a=a, b=b), form)

@@ -7,13 +7,13 @@ import numpy as np
 from .. import sampling
 from ..linalg import batched_operator_norms, matrix_exp
 from ..norms import _exp_monotone, _majorants, _subordinations, rank_one_exp
-from .harness import as_payload, dim, fields, matrices, matrix_cases, matrix_dim, run_trials, stack
+from .harness import as_payload, dim, fields, matrices, matrix_dim, run_trials
 
 
-def _dominated(draws) -> list:
+def _dominated(draws) -> tuple:
     """(s, m) of (s, fractions, phases) draws, m = random_subordinate_to(rng, s) of one s or a stack of them."""
     s, fraction, phase = fields(draws)
-    return list(zip(s, sampling.form_subordinate(s, fraction, phase)))
+    return s, sampling.form_subordinate(s, fraction, phase)
 
 
 def lemma_majorant_dominates(rng, trials, max_dim):
@@ -21,12 +21,11 @@ def lemma_majorant_dominates(rng, trials, max_dim):
         n = int(rng.integers(1, max_dim + 1))
         return sampling.draw_matrix(rng, n, scale=float(rng.uniform(0.1, 2.0)))
 
-    def margins(cases):
-        b = stack(cases)
+    def margins(b):
         return _subordinations(b, _majorants(b))[3]
 
     return run_trials("majorant-dominates", rng, trials, draw, matrix_dim, margins,
-                      lambda c: as_payload(b=c[0]), matrix_cases)
+                      lambda b: as_payload(b=b), lambda draws: (matrices(draws),))
 
 
 def lemma_majorant_norm_identities(rng, trials, max_dim):
@@ -35,11 +34,9 @@ def lemma_majorant_norm_identities(rng, trials, max_dim):
         return sampling.draw_matrix(rng, n), float(rng.uniform(0.05, 5.0))
 
     def form(draws):
-        b = sampling.scaled_to_norm(matrices([d[0] for d in draws]), np.array([d[1] for d in draws]))
-        return [(x,) for x in b]
+        return (sampling.scaled_to_norm(matrices([d[0] for d in draws]), np.array([d[1] for d in draws])),)
 
-    def margins(cases):
-        b = stack(cases)
+    def margins(b):
         k, n = b.shape[:2]
         c = batched_operator_norms(b)
         r = _majorants(b)
@@ -57,7 +54,7 @@ def lemma_majorant_norm_identities(rng, trials, max_dim):
         return out
 
     return run_trials("majorant-norm-identities", rng, trials, draw, lambda d: matrix_dim(d[0]),
-                      margins, lambda c: as_payload(b=c[0]), form)
+                      margins, lambda b: as_payload(b=b), form)
 
 
 def lemma_norm_monotone(rng, trials, max_dim):
@@ -66,14 +63,12 @@ def lemma_norm_monotone(rng, trials, max_dim):
         s = sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 2.0)))
         return (s, *sampling.draw_polar(rng, s.shape))
 
-    def margins(cases):
-        norms = batched_operator_norms(np.concatenate([stack(cases, 1), stack(cases, 0)]))
-        ns, nm = norms.reshape(2, len(cases))
+    def margins(s, m):
+        ns, nm = batched_operator_norms(np.concatenate([s, m])).reshape(2, len(s))
         return ns + 1e-10 - nm
 
     return run_trials("norm-monotone-under-domination", rng, trials, draw, dim, margins,
-                      lambda c: as_payload(m=c[0], s=c[1]),
-                      lambda draws: [(m, s) for s, m in _dominated(draws)])
+                      lambda s, m: as_payload(m=m, s=s), _dominated)
 
 
 def lemma_sum_product_closure(rng, trials, max_dim):
@@ -87,9 +82,8 @@ def lemma_sum_product_closure(rng, trials, max_dim):
         fractions, phases = zip(*[sampling.draw_polar(rng, s.shape) for s in dominators])
         return dominators, fractions, phases
 
-    def margins(cases):
+    def margins(s, m):
         # (k, chain, n, n) dominators and dominated; sums and products of each chain in order
-        s, m = stack(cases, 0), stack(cases, 1)
         sum_s, sum_m = np.add.reduce(s, axis=1), np.add.reduce(m, axis=1)
         prod_s, prod_m = s[:, 0], m[:, 0]
         for j in range(1, s.shape[1]):
@@ -102,7 +96,7 @@ def lemma_sum_product_closure(rng, trials, max_dim):
 
     return run_trials("domination-sum-product-closure", rng, trials, draw,
                       lambda c: (len(c[0][0]), len(c[0])), margins,
-                      lambda c: as_payload(s0=c[0][0], m0=c[1][0], chain=len(c[0])), _dominated)
+                      lambda s, m: as_payload(s0=s[0], m0=m[0], chain=len(s)), _dominated)
 
 
 def lemma_exp_monotone(rng, trials, max_dim):
@@ -111,8 +105,5 @@ def lemma_exp_monotone(rng, trials, max_dim):
         x = sampling.random_nonneg(rng, n, scale=float(rng.uniform(0.1, 1.5)))
         return (x, *sampling.draw_polar(rng, x.shape))
 
-    def margins(cases):
-        return _exp_monotone(stack(cases, 0), stack(cases, 1))[3]
-
-    return run_trials("exp-preserves-domination", rng, trials, draw, dim, margins,
-                      lambda c: as_payload(x=c[0], y=c[1]), _dominated)
+    return run_trials("exp-preserves-domination", rng, trials, draw, dim,
+                      lambda x, y: _exp_monotone(x, y)[3], lambda x, y: as_payload(x=x, y=y), _dominated)

@@ -14,6 +14,7 @@ from liemeasure.norms import (
     _majorants,
     _partition_products,
     _subordinations,
+    _total_variation_bounds,
     check_exp_monotone,
     inverse_triangle_sum,
     is_subordinate,
@@ -198,6 +199,19 @@ def test_total_variation_bound_past_the_float_range_is_inf():
     b = np.diag([240.0, 0.0, 0.0]) + 0.1
     assert total_variation_bound(3, b) == math.inf
     assert total_variation_bound(3, b / 2) == pytest.approx(3 * math.exp(3 * operator_norm(b / 2)), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_stacked_total_variation_bounds_equal_single_calls_bit_for_bit(rng, n):
+    # a stack with a b whose bound overflows to inf (n ||b|| just past 709) and one at b = 0
+    b = [random_matrix(rng, n, scale=s) for s in (0.1, 0.7, 1.5, 3.0)]
+    b += [np.full((n, n), 712.0 / (n * n)), np.zeros((n, n))]
+    got = _total_variation_bounds(n, np.stack(b).astype(complex))
+    assert got.shape == (len(b),) and got[-2] == math.inf
+    for bound, x in zip(got.tolist(), b):
+        assert bound == total_variation_bound(n, x)
+        growth = n * operator_norm(x)
+        assert bound == (n * math.exp(growth) if growth <= 709.0 else math.inf)
 
 
 def test_total_variation_bound_formula():

@@ -75,6 +75,18 @@ def test_projector_identities_random(rng):
                 assert operator_norm(pj @ dec.projectors[k]) <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_projectors_are_hermitian_bit_for_bit(rng, n):
+    # gapped spectra, and clusters of random multiplicities: E_j equals E_j* exactly
+    for _ in range(10):
+        l = int(rng.integers(1, n + 1))
+        mult = np.bincount(np.concatenate([np.arange(l), rng.integers(0, l, n - l)]), minlength=l)
+        for a in (hermitian_with_spectrum(rng, spaced_values(rng, n, 0.05)),
+                  hermitian_with_spectrum(rng, spaced_values(rng, l, 0.15), mult)):
+            pr = decompose(a).projectors
+            assert np.array_equal(pr, pr.conj().swapaxes(-1, -2))
+
+
 def test_multiplicities_show_up_in_projector_traces(rng):
     lam = spaced_values(rng, 3, min_gap=0.5)
     a = hermitian_with_spectrum(rng, lam, multiplicities=np.array([2, 1, 3]))

@@ -136,13 +136,16 @@ def test_a_failure_replays_the_case_its_stack_evaluated(monkeypatch):
     # a replay forms its trial alone; it must be the case that was formed in a stack
     checked = []
 
-    def spy(name, rng, trials, draw, key, margins_of, payload, form=list):
+    def spy(name, rng, trials, draw, key, margins_of, payload, form=harness.fields):
         copy = np.random.default_rng()
         copy.bit_generator.state = rng.bit_generator.state
         draws = [draw(copy) for _ in range(trials)]
         for idx in harness.groups(map(key, draws)):
-            for i, case in zip(idx, form([draws[j] for j in idx])):
-                assert canonical_json(payload(case)) == canonical_json(payload(form([draws[i]])[0]))
+            stacked = form([draws[i] for i in idx])
+            assert [len(field) for field in stacked] == [len(idx)] * len(stacked)
+            for j, i in enumerate(idx):
+                alone = payload(*(field[0] for field in form([draws[i]])))
+                assert canonical_json(payload(*(field[j] for field in stacked))) == canonical_json(alone)
         checked.append(name)
         return real(name, rng, trials, draw, key, margins_of, payload, form)
 
@@ -186,7 +189,7 @@ def test_a_nan_margin_fails_and_its_payload_serializes():
 
 
 def test_a_nan_margin_prints_a_fail_line_and_a_null_payload_and_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(bounds_suite, "total_variation_bound", lambda n, b: math.nan)
+    monkeypatch.setattr(bounds_suite, "_total_variation_bounds", lambda n, b: np.full(len(b), math.nan))
     assert main(["verify", "--suite", "bounds", "--trials", "3"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "FAIL total-variation-bound trials=1 worst_margin=nan"
