@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _SLAB_BYTES,
     _guarded_binomial,
     as_int,
     as_matrix_pair,
@@ -294,9 +295,6 @@ def _grouped_measures(prods: np.ndarray, decs, cfg: ApproximantConfig) -> list[D
     return [_collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce") for i in range(k)]
 
 
-_SLAB_BYTES = 1 << 18  # the builders and the verify harness work on about this many bytes at a time
-
-
 def _slabs(k: int, count: int, item_bytes: int):
     """(instances, items) slices over k instances of count items of item_bytes each, a slab at a time.
 
@@ -311,13 +309,24 @@ def _slabs(k: int, count: int, item_bytes: int):
 
 
 def _torus_peak_bytes(l: int, n_steps: int, n: int, k: int = 1) -> int:
-    """Predicted peak bytes of the torus builder for k instances of l clusters, n_steps and dimension n."""
+    """Predicted peak bytes of the torus builder for k instances of l clusters, n_steps and dimension n.
+
+    For l <= 2 every grid point is an atom and the grid is the output (when
+    rounding ties the locations, _torus_measures guards a second array
+    again); for l > 2 the output is a second array beside the grid.
+    """
     points = (n_steps + 1) ** (l - 1)
     atoms = math.comb(n_steps + l - 1, l - 1)
     slab = next(_slabs(1, k * points, 16 * n * n))[1].stop  # the matrices of one slab
-    # the grids, the outputs, the slabs alive inside one matrix_power, and each
-    # output atom's location and grid cell
-    return 16 * n * n * (k * (points + atoms) + 4 * slab) + 16 * k * atoms
+    # the grids, the outputs when they are not the grids, the slabs alive inside one
+    # matrix_power, and five matrices an instance (e^(B/N), the eigenvectors, their
+    # stacked copy, its adjoint and the rotated step) with one more as slack
+    matrices = k * (points if atoms == points else points + atoms) + 4 * slab + 6 * k
+    # the roots, and the index arrays as if all alive at once: a slab's grid indices and
+    # exponents, the composition rows at their peak, and each atom's location, sort order and cell
+    roots = n_steps + 1 if l > 1 else 1
+    index = 8 * (n + l) * slab + _compositions_peak_bytes(n_steps, l) + 24 * k * atoms
+    return 16 * n * n * matrices + 16 * roots + index
 
 
 def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
@@ -330,8 +339,11 @@ def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
     (N+1)^(l-1) points z_j = e^(-2 pi i m_j/(N+1)), m_j = 0..N, one slab of
     points at a time, into one grid array; an in-place inverse FFT over the
     grid gives every coefficient, and the cells of the compositions are
-    rotated back, a slab at a time, into one output array in location order.
-    Those two arrays are the only large ones. The error grows about linearly
+    rotated back, a slab at a time, into location order. When every grid point
+    is an atom (l <= 2), location order is the grid's reversed, and the grid,
+    rotated and reversed in place, is the output; otherwise the atoms are
+    gathered into one output array. Those are the only large arrays, so for
+    l <= 2 a build holds one grid. The error grows about linearly
     in N: for a 3x3 pair with a's spectrum {-1, 1, 1}, max|sum_k W_k - e^b|
     measured 1.25 to 1.70 times N * eps for N = 2^8 to 2^20 (the table in
     ROADMAP.md). Refused, before allocating, when the predicted peak bytes
@@ -346,9 +358,10 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
 
     The k grids form one array with a leading instance axis; whole instances
     share a slab of matrix powers and of rotations while their grids fit one,
-    and each measure is bit for bit its own call's. The grids and outputs of
-    all k are alive at once, so callers stack as many instances as one slab
-    holds of a build's peak; the guard predicts the peak of all k.
+    and each measure is bit for bit its own call's. The grids of all k, and
+    for l > 2 their outputs, are alive at once, so callers stack as many
+    instances as one slab holds of a build's peak; the guard predicts the
+    peak of all k.
     """
     k, n = steps.shape[:2]
     l, big_n = len(decs[0]), cfg.N
@@ -360,6 +373,16 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
     locs, order, cells, radix = _composition_index(compositions(big_n, l), decs, big_n)
     cells = cells[order]  # each atom's grid cell, in location order
     del order
+    # every grid point is an atom (l <= 2), and location order is cell order reversed:
+    # then the grid, rotated and reversed in place, is the output
+    in_place = cells.shape[1] == points and (cells == np.arange(points - 1, -1, -1)).all()
+    if in_place:
+        del cells
+    elif cells.shape[1] == points:
+        # two clusters whose locations tie or fall out of order by rounding: the atoms are
+        # gathered into a second array after all, which the guard above left out
+        guarded_count("torus grid points", big_n + 1, l - 1,
+                      peak_bytes=lambda _: _torus_peak_bytes(l, big_n, n, k) + 16 * n * n * k * points)
     grid = np.empty((k,) + (big_n + 1,) * (l - 1) + (n, n), dtype=np.complex128)
     flat = grid.reshape(k, points, n, n)
     rotated_step = adj @ steps @ vecs
@@ -373,10 +396,20 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
             roots[expo.swapaxes(1, 2)][..., np.newaxis] * rotated_step[inst, np.newaxis], big_n
         )
     np.fft.ifftn(grid, axes=tuple(range(1, l)), out=grid)
-    atoms = cells.shape[1]
-    weights = np.empty((k, atoms, n, n), dtype=np.complex128)
-    for inst, items in _slabs(k, atoms, 16 * n * n):
-        rows = np.arange(*inst.indices(k))[:, np.newaxis]
-        weights[inst, items] = vecs[inst, np.newaxis] @ flat[rows, cells[inst, items]] @ adj[inst, np.newaxis]
-    del grid, flat
+    if in_place:
+        # a slab of the front and its mirror at the back are rotated, then written swapped and
+        # reversed; the middle point of an odd grid lies in both and gets the same value twice
+        for inst, items in _slabs(k, (points + 1) // 2, 16 * n * n):
+            v, vh = vecs[inst, np.newaxis], adj[inst, np.newaxis]
+            back = slice(points - items.stop, points - items.start)
+            front = v @ flat[inst, items] @ vh
+            flat[inst, items] = (v @ flat[inst, back] @ vh)[:, ::-1]
+            flat[inst, back] = front[:, ::-1]
+        weights = flat
+    else:
+        weights = np.empty((k, cells.shape[1], n, n), dtype=np.complex128)
+        for inst, items in _slabs(k, cells.shape[1], 16 * n * n):
+            rows = np.arange(*inst.indices(k))[:, np.newaxis]
+            weights[inst, items] = vecs[inst, np.newaxis] @ flat[rows, cells[inst, items]] @ adj[inst, np.newaxis]
+        del grid, flat
     return [_collapse(locs[i], weights[i], decs[i], cfg, "dp") for i in range(k)]

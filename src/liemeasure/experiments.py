@@ -16,6 +16,7 @@ import scipy.linalg
 
 from .approximant import MERGE_TOL, ApproximantConfig, _lie_peak_bytes, build_measure_dp, lie_approximant
 from .linalg import (
+    _SLAB_BYTES,
     _hermitian_defects,
     _hermitian_parts,
     as_int,
@@ -81,36 +82,45 @@ def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
     """e^(t*a+b) at a scalar t or at every point of an array t, shape t.shape + (n, n).
 
     One stacked scipy expm covers the grid. At the real points where t*a+b is
-    Hermitian, one stacked eigh cross-checks it against V diag(e^w) V*.
-    Refused, before allocating, when _truth_peak_bytes of the grid exceeds
-    linalg.BYTE_BUDGET.
+    Hermitian, a stacked eigh cross-checks it against V diag(e^w) V*, a slab
+    of about linalg._SLAB_BYTES of matrices at a time; a failure names the
+    largest gap over the grid. Refused, before allocating, when
+    _truth_peak_bytes of the grid exceeds linalg.BYTE_BUDGET.
     """
     am, bm = as_matrix_pair(a, b)
+    n = am.shape[0]
     t = np.asarray(t, dtype=np.complex128)
-    guarded_count("t-grid points", t.size, 1, peak_bytes=lambda points: _truth_peak_bytes(points, am.shape[0]))
+    guarded_count("t-grid points", t.size, 1, peak_bytes=lambda points: _truth_peak_bytes(points, n))
     x = t[..., np.newaxis, np.newaxis] * am + bm
     if not np.isfinite(x).all():
         raise ValueError("t*a+b: entries must be finite")
     direct = scipy.linalg.expm(x)
-    xs, es = x[t.imag == 0.0], direct[t.imag == 0.0]  # the real points, as (R, n, n)
-    hermitian = _hermitian_defects(xs) <= 1e-12 * np.maximum(1.0, batched_operator_norms(xs))
-    xs, es = xs[hermitian], es[hermitian]
-    w, v = np.linalg.eigh(_hermitian_parts(xs))
-    gaps = batched_operator_norms(es - (v * np.exp(w)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2))
-    failed = gaps > cross_tol * np.maximum(1.0, batched_operator_norms(es))
-    if failed.any():
-        raise RuntimeError(
-            f"exponential cross-check failed: spectral vs series gap {gaps[failed].max():.3e}"
-        )
+    points, x_flat, e_flat = t.reshape(-1), x.reshape(-1, n, n), direct.reshape(-1, n, n)
+    width = max(1, _SLAB_BYTES // (16 * n * n))
+    failures = []  # the largest gap of each slab's failing points
+    for start in range(0, t.size, width):
+        real = points[start:start + width].imag == 0.0
+        xs, es = x_flat[start:start + width][real], e_flat[start:start + width][real]
+        hermitian = _hermitian_defects(xs) <= 1e-12 * np.maximum(1.0, batched_operator_norms(xs))
+        xs, es = xs[hermitian], es[hermitian]
+        w, v = np.linalg.eigh(_hermitian_parts(xs))
+        del xs
+        gaps = batched_operator_norms(es - (v * np.exp(w)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2))
+        failed = gaps > cross_tol * np.maximum(1.0, batched_operator_norms(es))
+        if failed.any():
+            failures.append(gaps[failed].max())
+    if failures:
+        raise RuntimeError(f"exponential cross-check failed: spectral vs series gap {max(failures):.3e}")
     return direct
 
 
 def _truth_peak_bytes(points: int, n: int) -> int:
     """Predicted peak bytes of truth_exponential on a grid of `points`."""
-    # eight (n, n) matrices a point at the cross-check: t*a+b, e^(t*a+b), their copies
-    # at the Hermitian points, the eigenvectors and three temporaries; one more as
-    # slack; and t, the eigenvalues and the per-point norms
-    return 16 * points * (9 * n * n + n + 6)
+    slab = min(points, max(1, _SLAB_BYTES // (16 * n * n)))
+    # t*a+b, e^(t*a+b) and t over the grid; and five (n, n) matrices a point of one slab
+    # at the cross-check (e^(t*a+b) at its Hermitian points, the eigenvectors and three
+    # temporaries of the gap), one more as slack, and the slab's eigenvalues and norms
+    return 16 * points * (2 * n * n + 1) + 16 * slab * (6 * n * n + n + 6)
 
 
 def exp_curve_derivative(a, b, order: int) -> np.ndarray:

@@ -49,6 +49,9 @@ BYTE_BUDGET = 2 * 1024**3
 # transform evaluation, so this cap bounds work as well as bytes
 LATTICE_LIMIT = 5_000_000
 HERMITIAN_TOL = 1e-9  # the tolerance of every Hermitian and PSD check
+# the builders, the verify harness, hermitian_deviation and the truth's cross-check
+# work on about this many bytes at a time
+_SLAB_BYTES = 1 << 18
 
 
 def guarded_count(what: str, base: int, exponent: int, limit: int | None = None, *, peak_bytes=None) -> int:
@@ -161,8 +164,14 @@ def _hermitian_stack(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _hermitian_defects(m: np.ndarray) -> np.ndarray:
-    """||m - m*|| of each matrix of a (k, n, n) stack; m - m* is formed in the one array that holds m*."""
-    defect = np.conj(np.swapaxes(m, 1, 2))
+    """||m - m*|| of each matrix of a (k, n, n) stack; m - m* is formed in the one array that holds m*.
+
+    That array is a C-order copy of the transposed view, conjugated in place:
+    np.conj of the view would lay its output out transposed, and a subtraction
+    into that is buffered through a second array.
+    """
+    defect = np.swapaxes(m, 1, 2).copy()
+    np.conj(defect, out=defect)
     np.subtract(m, defect, out=defect)
     return batched_operator_norms(defect)
 

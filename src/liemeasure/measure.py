@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     LATTICE_LIMIT,
     _GcPaused,
+    _SLAB_BYTES,
     _hermitian_defects,
     _is_real,
     _load_json,
@@ -206,8 +207,13 @@ def is_nonnegative_measure(m: DiscreteMatrixMeasure) -> bool:
 
 
 def hermitian_deviation(m: DiscreteMatrixMeasure) -> float:
-    """max over atoms of ||W_k - W_k*||; zero when every weight is Hermitian."""
-    return float(_hermitian_defects(m.weights).max()) if len(m) else 0.0
+    """max over atoms of ||W_k - W_k*||; zero when every weight is Hermitian.
+
+    The defects are taken a slab of about linalg._SLAB_BYTES of weights at a time.
+    """
+    step = max(1, _SLAB_BYTES // (16 * m.dim * m.dim))
+    return max((float(_hermitian_defects(m.weights[start:start + step]).max()) for start in range(0, len(m), step)),
+               default=0.0)
 
 
 def transform_distance(m1: DiscreteMatrixMeasure, m2: DiscreteMatrixMeasure, t_grid) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import liemeasure.experiments as experiments
 from liemeasure.approximant import ApproximantConfig, build_measure_dp
 from liemeasure.experiments import (
     COUNTEREXAMPLE_SCHEDULE,
@@ -30,7 +31,7 @@ from liemeasure.experiments import (
     write_convergence_csv,
     write_convergence_json,
 )
-from liemeasure.linalg import matrix_exp, operator_norm, require_hermitian
+from liemeasure.linalg import batched_operator_norms, matrix_exp, operator_norm, require_hermitian
 from liemeasure.measure import moment, transform_distance
 from liemeasure.sampling import noncommuting_hermitian_pair, random_hermitian, random_matrix
 
@@ -75,6 +76,24 @@ def test_truth_exponential_cross_checks_only_real_hermitian_points(rng):
     truth_exponential(a, random_matrix(rng, 3), grid, cross_tol=-1.0)  # t*a+b not Hermitian
     with pytest.raises(ValueError, match="finite"):
         truth_exponential(a, h, np.array([0.0, np.nan]))
+
+
+def test_truth_cross_check_names_the_largest_gap_over_every_slab(rng, monkeypatch):
+    # slabs of 16 points: the 101 real points of the grid take seven, in ascending order of
+    # their gaps, so the largest gap lies in the last slab
+    a = random_hermitian(rng, 3)
+    h = random_hermitian(rng, 3)
+    grid = np.linspace(-1.0, 1.0, 101)
+    x = grid[:, np.newaxis, np.newaxis] * a + h
+    w, v = np.linalg.eigh((x + x.conj().swapaxes(1, 2)) / 2.0)
+    gaps = batched_operator_norms(scipy.linalg.expm(x) - (v * np.exp(w)[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2))
+    grid = grid[np.argsort(gaps)]
+    whole = truth_exponential(a, h, grid)
+    monkeypatch.setattr(experiments, "_SLAB_BYTES", 16 * 16 * 9)
+    assert truth_exponential(a, h, grid).tobytes() == whole.tobytes()
+    message = rf"^exponential cross-check failed: spectral vs series gap {gaps.max():.3e}$"
+    with pytest.raises(RuntimeError, match=message):
+        truth_exponential(a, h, grid, cross_tol=-1.0)
 
 
 def test_exp_curve_derivative_order_zero_is_exp_b(rng):

@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import liemeasure.measure as measure_module
-from liemeasure.linalg import canonical_json, is_psd, matrix_exp, operator_norm
+from liemeasure.linalg import _SLAB_BYTES, _hermitian_defects, canonical_json, is_psd, matrix_exp, operator_norm
 from liemeasure.measure import (
     DiscreteMatrixMeasure,
     hermitian_deviation,
@@ -213,6 +213,21 @@ def test_hermitian_deviation_matches_the_two_copy_formula_bit_for_bit(n):
     two_copy = m.weights - np.conj(np.swapaxes(m.weights, 1, 2))
     assert hermitian_deviation(m) == float(np.linalg.svd(two_copy, compute_uv=False)[:, 0].max())
     assert m.weights.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_hermitian_deviation_takes_a_slab_at_a_time(traced_peak, n):
+    # a slab is 16,384, 1,820 or 256 atoms; the worst atom is the last, in the last slab
+    slab = _SLAB_BYTES // (16 * n * n)
+    rng = np.random.default_rng(n)
+    for count in (slab - 1, slab, slab + 1, 2 * slab + 3):
+        w = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        w[-1] *= 10.0
+        m = DiscreteMatrixMeasure(np.arange(float(count)), w)
+        value, peak = traced_peak(lambda: hermitian_deviation(m))
+        assert value == float(_hermitian_defects(m.weights).max())
+        assert peak < 2 * _SLAB_BYTES
+    assert m.weights.nbytes > 2 * _SLAB_BYTES
 
 
 def test_transform_distance():

@@ -104,7 +104,7 @@ def test_compositions_match_the_grid_formula():
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (total, parts)
 
 
-def test_measure_keeps_the_builders_array_read_only(rng):
+def test_measure_keeps_the_builders_array_read_only(rng, tmp_path):
     # generic spectrum: nothing fuses, so the weights are the builder's own output array
     a, b = _pair(rng, 3, 3)
     m = build_measure_dp(a, b, ApproximantConfig(N=8))
@@ -114,6 +114,20 @@ def test_measure_keeps_the_builders_array_read_only(rng):
         m.weights[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         m.locations[0] = 0.0
+    # two clusters: the weights are the builder's grid, rotated and reversed in place
+    a, b = _pair(rng, 3, 2)
+    m = build_measure_dp(a, b, ApproximantConfig(N=64))
+    assert len(m) == 65 and m.weights.base is not None and m.locations.base is not None
+    assert not m.weights.flags.writeable and not m.locations.flags.writeable
+    with pytest.raises(ValueError):
+        m.weights[-1, 0, 0] = 1.0
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_measure(first, m)
+    again = read_measure(first)
+    assert again.locations.tobytes() == m.locations.tobytes()
+    assert again.weights.tobytes() == m.weights.tobytes()
+    write_measure(second, again)
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("n, l, n_steps", [(8, 2, 1024), (3, 3, 128), (4, 4, 24), (2, 2, 20000), (5, 3, 60)])
@@ -122,6 +136,43 @@ def test_torus_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
     _, peak = traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=n_steps)))
     predicted = approximant._torus_peak_bytes(l, n_steps, n)
     assert peak <= predicted <= 2 * peak
+
+
+def test_the_guard_admits_a_two_cluster_build_whose_grid_is_its_output(rng, monkeypatch, traced_peak):
+    # n = 8, l = 2, N = 1024: counted as a grid plus an output of 1,025 matrices each, this
+    # build was predicted at 16*64*(1025 + 1025 + 4*256) + 16*1025 = 3,164,176 bytes
+    a, b = _pair(rng, 8, 2)
+    cfg = ApproximantConfig(N=1024)
+    unpatched, peak = traced_peak(lambda: build_measure_dp(a, b, cfg))
+    assert peak < 2 * 16 * 64 * 1025  # one grid and its slabs, not a grid and an output
+    budget = (approximant._torus_peak_bytes(2, 1024, 8) + 3_164_176) // 2
+    assert approximant._torus_peak_bytes(2, 1024, 8) < budget < 3_164_176
+    monkeypatch.setattr(linalg, "BYTE_BUDGET", budget)
+    m = build_measure_dp(a, b, cfg)
+    assert m.locations.tobytes() == unpatched.locations.tobytes()
+    assert m.weights.tobytes() == unpatched.weights.tobytes()
+    # three clusters at the same budget: a grid and an output, still refused
+    a, b = _pair(rng, 3, 3)
+    need = approximant._torus_peak_bytes(3, 128, 3)
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"^torus grid points: 129\*\*2 would need {need} bytes, over the budget of {budget} bytes$",
+    ):
+        build_measure_dp(a, b, ApproximantConfig(N=128))
+
+
+def test_a_two_cluster_build_out_of_location_order_is_guarded_as_two_arrays(rng, monkeypatch):
+    # eigenvalues 1 and 1 + 2**-52 (kept apart by cluster_tol=0): rounding ties the
+    # locations, so the atoms are gathered into a second array beside the grid
+    a, b = np.diag([1.0, 1.0 + 2.0**-52]), random_matrix(rng, 2)
+    cfg = ApproximantConfig(N=1024, cluster_tol=0.0)
+    assert len(build_measure_dp(a, b, cfg)) == 1  # every location fuses into one atom
+    one_grid = approximant._torus_peak_bytes(2, 1024, 2)
+    monkeypatch.setattr(linalg, "BYTE_BUDGET", one_grid)
+    assert len(build_measure_dp(*_pair(rng, 2, 2), cfg)) == 1025
+    need = one_grid + 16 * 4 * 1025
+    with pytest.raises(ResourceLimitError, match=rf"^torus grid points: 1025 would need {need} bytes, over"):
+        build_measure_dp(a, b, cfg)
 
 
 @pytest.mark.parametrize("n, l, n_steps", [(2, 2, 14), (3, 3, 9), (4, 2, 12), (3, 2, 13)])
