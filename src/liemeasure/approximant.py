@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _SLAB_BYTES,
     _guarded_binomial,
+    _slabs,
     as_int,
     as_matrix_pair,
     guarded_count,
@@ -293,19 +293,6 @@ def _grouped_measures(prods: np.ndarray, decs, cfg: ApproximantConfig) -> list[D
     targets = _tuple_rows(cells, radix, cfg.N) + rows * np.arange(k)[:, np.newaxis]
     np.add.at(grouped.reshape(k * rows, n, n), targets.reshape(-1), prods.reshape(-1, n, n))
     return [_collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce") for i in range(k)]
-
-
-def _slabs(k: int, count: int, item_bytes: int):
-    """(instances, items) slices over k instances of count items of item_bytes each, a slab at a time.
-
-    Whole instances share a block while they fit _SLAB_BYTES; a larger
-    instance is cut into blocks of as many items as fit, one at least.
-    """
-    per = max(1, _SLAB_BYTES // (item_bytes * count))
-    width = min(count, max(1, _SLAB_BYTES // item_bytes))
-    for i in range(0, k, per):
-        for start in range(0, count, width):
-            yield slice(i, min(i + per, k)), slice(start, min(start + width, count))
 
 
 def _torus_peak_bytes(l: int, n_steps: int, n: int, k: int = 1) -> int:

@@ -16,9 +16,10 @@ import scipy.linalg
 
 from .approximant import MERGE_TOL, ApproximantConfig, _lie_peak_bytes, build_measure_dp, lie_approximant
 from .linalg import (
-    _SLAB_BYTES,
+    LATTICE_LIMIT,
     _hermitian_defects,
     _hermitian_parts,
+    _slabs,
     as_int,
     as_matrix_pair,
     batched_operator_norms,
@@ -30,7 +31,6 @@ from .linalg import (
     require_hermitian,
 )
 from .measure import (
-    _CHUNK_NUMBERS,
     _transform_peak_bytes,
     _write_table,
     hermitian_deviation,
@@ -82,8 +82,8 @@ def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
     """e^(t*a+b) at a scalar t or at every point of an array t, shape t.shape + (n, n).
 
     One stacked scipy expm covers the grid. At the real points where t*a+b is
-    Hermitian, a stacked eigh cross-checks it against V diag(e^w) V*, a slab
-    of about linalg._SLAB_BYTES of matrices at a time; a failure names the
+    Hermitian, a stacked eigh cross-checks it against V diag(e^w) V*, a
+    linalg._slabs slab of matrices at a time; a failure names the
     largest gap over the grid. Refused, before allocating, when
     _truth_peak_bytes of the grid exceeds linalg.BYTE_BUDGET.
     """
@@ -96,11 +96,10 @@ def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
         raise ValueError("t*a+b: entries must be finite")
     direct = scipy.linalg.expm(x)
     points, x_flat, e_flat = t.reshape(-1), x.reshape(-1, n, n), direct.reshape(-1, n, n)
-    width = max(1, _SLAB_BYTES // (16 * n * n))
     failures = []  # the largest gap of each slab's failing points
-    for start in range(0, t.size, width):
-        real = points[start:start + width].imag == 0.0
-        xs, es = x_flat[start:start + width][real], e_flat[start:start + width][real]
+    for _, part in _slabs(1, t.size, 16 * n * n):
+        real = points[part].imag == 0.0
+        xs, es = x_flat[part][real], e_flat[part][real]
         hermitian = _hermitian_defects(xs) <= 1e-12 * np.maximum(1.0, batched_operator_norms(xs))
         xs, es = xs[hermitian], es[hermitian]
         w, v = np.linalg.eigh(_hermitian_parts(xs))
@@ -116,7 +115,7 @@ def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
 
 def _truth_peak_bytes(points: int, n: int) -> int:
     """Predicted peak bytes of truth_exponential on a grid of `points`."""
-    slab = min(points, max(1, _SLAB_BYTES // (16 * n * n)))
+    slab = next(_slabs(1, points, 16 * n * n), (0, slice(0)))[1].stop  # the points of one slab
     # t*a+b, e^(t*a+b) and t over the grid; and five (n, n) matrices a point of one slab
     # at the cross-check (e^(t*a+b) at its Hermitian points, the eigenvectors and three
     # temporaries of the gap), one more as slack, and the slab's eigenvalues and norms
@@ -239,12 +238,14 @@ def _study_peak_bytes(points: int, n: int, kept: int) -> int:
 
     The truths stay alive throughout; e^(ta+b) peaks alone, and each build adds
     to the kept transforms lie_approximant's peak, or a transform and its
-    difference from the kept one. The transform's coefficients take at most
-    40 * _CHUNK_NUMBERS bytes for a measure of up to _CHUNK_NUMBERS / 2
-    atoms; a larger measure's are left to laplace_transform's own guard.
+    difference from the kept one. The transform's coefficients, a chunk's
+    and a lone row's padded pair, take at most 40 bytes for each coefficient
+    one linalg._slabs slab holds, for a measure whose two points' fit one
+    slab; a larger measure's are left to laplace_transform's own guard.
     """
     grid = 16 * points * n * n
-    transform = _transform_peak_bytes(points, 0, n) + 40 * _CHUNK_NUMBERS + grid
+    slab = next(_slabs(1, LATTICE_LIMIT, 16))[1].stop  # the coefficients of one slab, LATTICE_LIMIT at most
+    transform = _transform_peak_bytes(points, 0, n) + 40 * slab + grid
     return max(_truth_peak_bytes(points, n), grid * (1 + kept) + max(_lie_peak_bytes(points, n), transform))
 
 

@@ -49,9 +49,22 @@ BYTE_BUDGET = 2 * 1024**3
 # transform evaluation, so this cap bounds work as well as bytes
 LATTICE_LIMIT = 5_000_000
 HERMITIAN_TOL = 1e-9  # the tolerance of every Hermitian and PSD check
-# the builders, the verify harness, hermitian_deviation and the truth's cross-check
-# work on about this many bytes at a time
+# every part-at-a-time loop works on about this many bytes at a time; only _slabs reads it
 _SLAB_BYTES = 1 << 18
+
+
+def _slabs(k: int, count: int, item_bytes: int, least: int = 1):
+    """(instances, items) slices over k instances of count items of item_bytes each, a slab at a time.
+
+    Whole instances share a block while they fit _SLAB_BYTES; a larger
+    instance is cut into blocks of as many items as fit, `least` at least.
+    The item slices tile 0..count in order; no items, no blocks.
+    """
+    per = max(1, _SLAB_BYTES // max(1, item_bytes * count))
+    width = max(least, _SLAB_BYTES // max(1, item_bytes))
+    for i in range(0, k, per):
+        for start in range(0, count, width):
+            yield slice(i, min(i + per, k)), slice(start, min(start + width, count))
 
 
 def guarded_count(what: str, base: int, exponent: int, limit: int | None = None, *, peak_bytes=None) -> int:

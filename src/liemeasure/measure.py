@@ -17,12 +17,12 @@ import numpy as np
 from .linalg import (
     LATTICE_LIMIT,
     _GcPaused,
-    _SLAB_BYTES,
     _hermitian_defects,
     _is_real,
     _load_json,
     _psd_stack,
     _re_im,
+    _slabs,
     as_int,
     batched_operator_norms,
     guarded_count,
@@ -47,10 +47,6 @@ __all__ = [
 
 # exponent cap: e^x overflows float64 just above x = 709
 _EXP_ARG_LIMIT = 700.0
-
-# numbers handled per chunk: bounds the text the writers format and the
-# coefficients the transform holds at once, whatever the atom count and n
-_CHUNK_NUMBERS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,14 +121,14 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
     """sum_k e^(t*lambda_k) * W_k at a scalar t or at every point of an array t.
 
     Returns shape t.shape + (n, n): (n, n) for a scalar, (T, n, n) for a grid
-    of T points. The grid is evaluated a chunk of points at a time, so about
-    _CHUNK_NUMBERS coefficients e^(t*lambda_k) exist at once (two points'
-    worth when K is larger), and each point's value, a scalar t's too, is the
-    one a whole-grid einsum gives, bit for bit. Raises OverflowError, naming
-    the worst Re(t)*lambda on the grid, when some e^(t*lambda_k) would leave
-    the float range, and ResourceLimitError, before allocating, beyond
-    LATTICE_LIMIT coefficients or when _transform_peak_bytes exceeds
-    linalg.BYTE_BUDGET.
+    of T points. The grid is evaluated a chunk of points at a time, so the
+    coefficients e^(t*lambda_k) alive at once fill about one linalg._slabs
+    slab (two points' worth when one point's are larger), and each point's
+    value, a scalar t's too, is the one a whole-grid einsum gives, bit for
+    bit. Raises OverflowError, naming the worst Re(t)*lambda on the grid,
+    when some e^(t*lambda_k) would leave the float range, and
+    ResourceLimitError, before allocating, beyond LATTICE_LIMIT coefficients
+    or when _transform_peak_bytes exceeds linalg.BYTE_BUDGET.
     """
     t = np.asarray(t, dtype=np.complex128)
     guarded_count(f"transform coefficients ({t.size} t-points x {len(m)} atoms)", t.size * len(m), 1, LATTICE_LIMIT,
@@ -147,22 +143,17 @@ def laplace_transform(m: DiscreteMatrixMeasure, t) -> np.ndarray:
             )
     out = np.empty(t.shape + (m.dim, m.dim), dtype=np.complex128)
     points, values = t.reshape(-1), out.reshape(-1, m.dim, m.dim)
-    edges = [*range(0, t.size, _chunk_points(len(m))), t.size]
-    for start, stop in zip(edges, edges[1:]):
-        coeff = np.multiply.outer(points[start:stop], m.locations)
-        values[start:stop] = _contract(np.exp(coeff, out=coeff), m)
+    # at least two points a chunk, so _contract pads at most the last one
+    for _, chunk in _slabs(1, t.size, 16 * len(m), least=2):
+        coeff = np.multiply.outer(points[chunk], m.locations)
+        values[chunk] = _contract(np.exp(coeff, out=coeff), m)
         del coeff  # before the next chunk's is formed
     return out
 
 
-def _chunk_points(atoms: int) -> int:
-    """Grid points per chunk of laplace_transform: at least two, so _contract pads at most the last chunk."""
-    return max(2, _CHUNK_NUMBERS // max(1, atoms))
-
-
 def _transform_peak_bytes(points: int, atoms: int, n: int) -> int:
     """Predicted peak bytes of laplace_transform on a grid of `points` for a measure of `atoms` (n, n) weights."""
-    chunk = min(points, _chunk_points(atoms))
+    chunk = next(_slabs(1, points, 16 * atoms, least=2), (0, slice(0)))[1].stop  # the points of one chunk
     # coefficient rows alive at once: a chunk's and a lone row's padded pair; then one
     # chunk's weighted sums, a quarter over for slack, and the two ufunc buffers of the
     # outer product's cast
@@ -201,18 +192,16 @@ def trace_measure(m: DiscreteMatrixMeasure) -> DiscreteMatrixMeasure:
 
 
 def is_nonnegative_measure(m: DiscreteMatrixMeasure) -> bool:
-    """True iff every atom weight passes is_psd, a slab of at most _CHUNK_NUMBERS entries at a time."""
-    step = max(1, _CHUNK_NUMBERS // (m.dim * m.dim))
-    return all(_psd_stack(m.weights[start:start + step]).all() for start in range(0, len(m), step))
+    """True iff every atom weight passes is_psd, a linalg._slabs slab of weights at a time."""
+    return all(_psd_stack(m.weights[part]).all() for _, part in _slabs(1, len(m), 16 * m.dim * m.dim))
 
 
 def hermitian_deviation(m: DiscreteMatrixMeasure) -> float:
     """max over atoms of ||W_k - W_k*||; zero when every weight is Hermitian.
 
-    The defects are taken a slab of about linalg._SLAB_BYTES of weights at a time.
+    The defects are taken a linalg._slabs slab of weights at a time.
     """
-    step = max(1, _SLAB_BYTES // (16 * m.dim * m.dim))
-    return max((float(_hermitian_defects(m.weights[start:start + step]).max()) for start in range(0, len(m), step)),
+    return max((float(_hermitian_defects(m.weights[part]).max()) for _, part in _slabs(1, len(m), 16 * m.dim * m.dim)),
                default=0.0)
 
 
@@ -360,20 +349,19 @@ def _write_table(path, head: str, row: str = "", columns=(), sep: str = "", tail
     The target is the file at path, or sys.stdout, looked up at call time,
     when path is None or "-". Rows are joined by sep. columns are (K, w)
     blocks that sit side by side; an object block keeps Python ints exact for
-    a %d. Each chunk of at most _CHUNK_NUMBERS numbers is copied into one
-    small array and formatted in one % operation, so no more than a chunk's
-    text exists at once. '%.17g' % x and format(x, '.17g') are the same
+    a %d. Each linalg._slabs slab of rows, at 8 bytes a number, is copied
+    into one small array and formatted in one % operation, so no more than a
+    slab's text exists at once. '%.17g' % x and format(x, '.17g') are the same
     conversion, nan and -0 included, so the text matches canonical_json's
     number for number.
     """
     count = len(columns[0]) if columns else 0
-    step = max(1, _CHUNK_NUMBERS // max(1, sum(c.shape[1] for c in columns)))
     to_stdout = path is None or path == "-"
     with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w", encoding="ascii") as fh:
         fh.write(head)
-        for start in range(0, count, step):
-            data = np.hstack([c[start:start + step] for c in columns])
-            if start:
+        for _, part in _slabs(1, count, 8 * sum(c.shape[1] for c in columns)):
+            data = np.hstack([c[part] for c in columns])
+            if part.start:
                 fh.write(sep)
             fh.write(sep.join([row] * len(data)) % tuple(data.ravel().tolist()))
         fh.write(tail)

@@ -3,8 +3,8 @@
 import numpy as np
 
 from .. import sampling
-from ..approximant import _grouped_measures, _slabs, _tuple_products
-from ..linalg import _tuple_norm_sums, _tuple_peak_bytes
+from ..approximant import _grouped_measures, _tuple_products
+from ..linalg import _slabs, _tuple_norm_sums, _tuple_peak_bytes
 from ..measure import total_variation
 from ..norms import _partition_products, _total_variation_bounds
 from .harness import BuildDraw, as_payload, build_lemma, built_margins, fields, matrices, run_trials

@@ -3,12 +3,12 @@
 run_trials draws every trial first, with the rng calls, in the order, of a
 loop that draws and checks one trial at a time. A draw holds only the raw
 numbers of those calls; no matrix is formed while the lemma draws. It then
-takes the draws of each shape a slab at a time, forms their fields through
-the stacked formers of `sampling` (each field stacked along a first axis,
-one entry per draw), hands the fields to the lemma's stacked evaluation,
-and reports the first failing trial. The builder lemmas get (a, b, N)
-fields and blocks, which stack builds of one (n, l, N) through the
-builders' stacked cores.
+takes the draws of each shape a linalg._slabs slab at a time, forms their
+fields through the stacked formers of `sampling` (each field stacked along a
+first axis, one entry per draw), hands the fields to the lemma's stacked
+evaluation, and reports the first failing trial. The builder lemmas get
+(a, b, N) fields and blocks, which stack builds of one (n, l, N) through
+the builders' stacked cores.
 """
 
 import math
@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..approximant import ApproximantConfig, _prepare, _slabs, _torus_measures, _torus_peak_bytes
-from ..linalg import matrix_to_json
+from ..approximant import ApproximantConfig, _prepare, _torus_measures, _torus_peak_bytes
+from ..linalg import _slabs, matrix_to_json
 from ..sampling import form_matrices
 
 

@@ -306,7 +306,7 @@ def test_transform_is_deterministic(tmp_path, pair_files, capsys):
 
 
 def test_transform_writes_the_same_bytes_to_every_target(tmp_path, pair_files, capsys, monkeypatch):
-    # stdout, --out - and a file, each written 2 rows (8 numbers) a chunk: 12 chunks for 23 rows
+    # stdout, --out - and a file, each written 2 rows (8 numbers, 64 bytes) a slab: 12 slabs for 23 rows
     a_path, b_path = pair_files
     out = str(tmp_path / "m.json")
     assert main(["measure", "--a", a_path, "--b", b_path, "--steps", "8", "--out", out]) == 0
@@ -315,7 +315,7 @@ def test_transform_writes_the_same_bytes_to_every_target(tmp_path, pair_files, c
     assert main(argv) == 0
     whole = capsys.readouterr().out
     assert whole.count("\n") == 24
-    monkeypatch.setattr(measure_module, "_CHUNK_NUMBERS", 8)
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", 64)
     assert main(argv) == 0
     assert capsys.readouterr().out == whole
     assert main(argv + ["--out", "-"]) == 0
@@ -323,6 +323,39 @@ def test_transform_writes_the_same_bytes_to_every_target(tmp_path, pair_files, c
     assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
     assert capsys.readouterr().out == ""
     assert (tmp_path / "t.csv").read_text(encoding="ascii") == whole
+
+
+def test_a_one_byte_slab_changes_no_output_byte(tmp_path, monkeypatch, capsys):
+    # linalg._SLAB_BYTES sizes every part-at-a-time loop: at one byte the torus builder, the
+    # transform (two points a chunk), the truth's cross-check, the Hermitian and PSD scans and
+    # the table writers each take one item at a time, and every file and stdout keeps its bytes
+    a = np.diag([-1.0, 0.1 * 2**0.5, 0.4 + 3**-0.5])
+    b = np.array([[0.3, 0.5j, -0.2], [0.1, -0.4, 0.6], [0.7j, 0.2, 0.1]])
+    pair = ["--a", "a.json", "--b", "b.json"]
+    commands = [
+        ["measure", *pair, "--steps", "16", "--out", "m.json", "--trace-csv", "m.csv"],
+        ["transform", "--measure", "m.json"],
+        ["transform", "--measure", "m.json", *pair],
+        ["converge", *pair, "--schedule", "4,8,16", "--out", "c.csv"],
+        ["converge", *pair, "--schedule", "4,8,16", "--format", "json", "--out", "c.json"],
+        ["plot", "--measure", "m.json", "--out", "fig"],
+    ]
+
+    def outputs(run):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        write_matrix("a.json", a)
+        write_matrix("b.json", b)
+        stdout = []
+        for argv in commands:
+            assert main(argv) == 0
+            stdout.append(capsys.readouterr().out)
+        return stdout, {p.name: p.read_bytes() for p in sorted((tmp_path / run).iterdir())}
+
+    plain = outputs("plain")
+    assert sorted(plain[1]) == ["a.json", "b.json", "c.csv", "c.json", "fig.dat", "fig.gp", "m.csv", "m.json"]
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", 1)
+    assert outputs("one-byte") == plain
 
 
 def test_verify_command_passes(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import liemeasure.experiments as experiments
+import liemeasure.linalg as linalg
 from liemeasure.approximant import ApproximantConfig, build_measure_dp
 from liemeasure.experiments import (
     COUNTEREXAMPLE_SCHEDULE,
@@ -89,7 +89,7 @@ def test_truth_cross_check_names_the_largest_gap_over_every_slab(rng, monkeypatc
     gaps = batched_operator_norms(scipy.linalg.expm(x) - (v * np.exp(w)[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2))
     grid = grid[np.argsort(gaps)]
     whole = truth_exponential(a, h, grid)
-    monkeypatch.setattr(experiments, "_SLAB_BYTES", 16 * 16 * 9)
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", 16 * 16 * 9)
     assert truth_exponential(a, h, grid).tobytes() == whole.tobytes()
     message = rf"^exponential cross-check failed: spectral vs series gap {gaps.max():.3e}$"
     with pytest.raises(RuntimeError, match=message):

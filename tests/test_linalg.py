@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import liemeasure.linalg as linalg
 from liemeasure.linalg import (
     ResourceLimitError,
     as_matrix,
@@ -321,3 +322,60 @@ def test_json_read_pauses_the_collector_and_restores_it(tmp_path, caller_enabled
         assert gc.isenabled() is caller_enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+# ------------------------------------------------------------------ slabs
+
+def _parts(k, count, item_bytes, least=1):
+    """The (instances, items) parts of _slabs as (start, stop) pairs."""
+    return [((i.start, i.stop), (s.start, s.stop)) for i, s in linalg._slabs(k, count, item_bytes, least)]
+
+
+def test_slabs_of_no_items_yield_no_part():
+    # an empty measure's scans, an empty grid's transform, a header-only table's rows
+    assert _parts(1, 0, 16 * 9) == []
+    assert _parts(1, 0, 0, least=2) == []
+    assert _parts(3, 0, 16) == []
+    assert _parts(0, 5, 16) == []
+    # an empty measure's items take no bytes: a grid's points are one part
+    assert _parts(1, 4, 0, least=2) == [((0, 1), (0, 4))]
+
+
+def test_an_item_larger_than_a_slab_is_a_part_of_its_own(monkeypatch):
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", 100)
+    assert _parts(1, 3, 101) == [((0, 1), (0, 1)), ((0, 1), (1, 2)), ((0, 1), (2, 3))]
+    assert _parts(2, 2, 101) == [((0, 1), (0, 1)), ((0, 1), (1, 2)), ((1, 2), (0, 1)), ((1, 2), (1, 2))]
+
+
+def test_slabs_keep_a_floor_of_items_a_part():
+    # the transform's chunks of a 33,153-atom measure: one point's coefficients pass a
+    # slab, and the floor keeps two points a chunk, the last one alone
+    assert _parts(1, 5, 16 * 33_153, least=2) == [((0, 1), (0, 2)), ((0, 1), (2, 4)), ((0, 1), (4, 5))]
+    assert _parts(1, 1, 16 * 33_153, least=2) == [((0, 1), (0, 1))]
+    # below the slab the floor changes nothing
+    assert _parts(1, 5, 16, least=2) == [((0, 1), (0, 5))]
+
+
+def test_slabs_pack_whole_instances_while_they_fit(monkeypatch):
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", 100)
+    # instances of 30 bytes: three a block, each whole
+    assert _parts(7, 3, 10) == [((0, 3), (0, 3)), ((3, 6), (0, 3)), ((6, 7), (0, 3))]
+    # an instance of exactly one slab is a block alone; one of 250 bytes is cut in slabs
+    assert _parts(2, 10, 10) == [((0, 1), (0, 10)), ((1, 2), (0, 10))]
+    assert _parts(2, 25, 10) == [((0, 1), (0, 10)), ((0, 1), (10, 20)), ((0, 1), (20, 25)),
+                                 ((1, 2), (0, 10)), ((1, 2), (10, 20)), ((1, 2), (20, 25))]
+
+
+@pytest.mark.parametrize("slab", [1, 7, 64, 1000])
+def test_slabs_tile_every_instance_and_item_once_in_order(monkeypatch, slab):
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", slab)
+    for k, count, item_bytes, least in itertools.product(range(4), range(7), (0, 1, 3, 16, 2000), (1, 2)):
+        parts = _parts(k, count, item_bytes, least)
+        blocks = list(dict.fromkeys(block for block, _ in parts))
+        assert [i for a, b in blocks for i in range(a, b)] == list(range(k if count else 0))
+        for block in blocks:
+            items = [part for b, part in parts if b == block]
+            assert [j for a, b in items for j in range(a, b)] == list(range(count))
+        for (i0, i1), (j0, j1) in parts:
+            # a part fits the slab, or is one instance of `least` items at most
+            assert (i1 - i0) * (j1 - j0) * item_bytes <= slab or (i1 - i0 == 1 and j1 - j0 <= least)

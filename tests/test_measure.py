@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import liemeasure.linalg as linalg
 import liemeasure.measure as measure_module
 from liemeasure.linalg import _SLAB_BYTES, _hermitian_defects, canonical_json, is_psd, matrix_exp, operator_norm
 from liemeasure.measure import (
@@ -95,12 +96,12 @@ def test_laplace_transform_across_chunk_boundaries(monkeypatch, n, count):
     # in another order, so a chunk of one point goes in as two
     rng = np.random.default_rng(count)
     m = random_measure(rng, k=count, n=n)
-    for numbers in (1, count, 3 * count, 1 << 16):
-        monkeypatch.setattr(measure_module, "_CHUNK_NUMBERS", numbers)
+    for coefficients in (1, count, 3 * count, 1 << 16):
+        monkeypatch.setattr(linalg, "_SLAB_BYTES", 16 * coefficients)
         for points in (1, 2, 3, 7, 8):
             t = rng.uniform(-1.0, 1.0, points) + 1j * rng.uniform(-1.0, 1.0, points)
             whole = measure_module._contract(np.exp(np.multiply.outer(t, m.locations)), m)
-            assert laplace_transform(m, t).tobytes() == whole.tobytes(), (numbers, points)
+            assert laplace_transform(m, t).tobytes() == whole.tobytes(), (coefficients, points)
 
 
 def test_lone_points_sum_as_grid_points_for_many_scalar_atoms():
@@ -190,11 +191,11 @@ def test_is_nonnegative_measure_checks_every_slab():
 
 
 def test_is_nonnegative_measure_holds_a_slab_not_the_stack(traced_peak):
-    # 100,000 2 x 2 atoms: 6.4 MB of weights, checked 16,384 atoms (1 MiB) at a time
+    # 100,000 2 x 2 atoms: 6.4 MB of weights, checked 4,096 atoms (256 KiB) at a time
     m = DiscreteMatrixMeasure(np.arange(100_000.0), np.tile(np.eye(2, dtype=complex), (100_000, 1, 1)))
     ok, peak = traced_peak(lambda: is_nonnegative_measure(m))
     assert ok
-    assert peak <= 3 * 16 * measure_module._CHUNK_NUMBERS < m.weights.nbytes
+    assert peak <= 3 * _SLAB_BYTES < m.weights.nbytes
 
 
 def test_hermitian_deviation():
@@ -527,8 +528,8 @@ def _measure_with_negative_zeros(rng, count, n):
 
 
 def _rows_per_chunk(monkeypatch, width, numbers):
-    """Set the writers' chunk to `numbers` numbers; return its rows of `width` numbers, C."""
-    monkeypatch.setattr(measure_module, "_CHUNK_NUMBERS", numbers)
+    """Set the slab to `numbers` numbers of 8 bytes; return its rows of `width` numbers, C."""
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", 8 * numbers)
     return max(1, numbers // width)
 
 

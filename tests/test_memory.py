@@ -84,8 +84,8 @@ SLAB_CASES = [
 def test_slab_builder_matches_the_one_shot_formula_byte_for_byte(rng, monkeypatch, n, l, slab_offset):
     n_steps = STEPS[l]
     slab = (n_steps + 1) ** (l - 1) + slab_offset
-    monkeypatch.setattr(approximant, "_SLAB_BYTES", 16 * n * n * slab)
-    assert next(approximant._slabs(1, slab + 1, 16 * n * n)) == (slice(0, 1), slice(0, slab))
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", 16 * n * n * slab)
+    assert next(linalg._slabs(1, slab + 1, 16 * n * n)) == (slice(0, 1), slice(0, slab))
     a, b = _pair(rng, n, l)
     locs, weights = _one_shot(a, b, n_steps)
     m = build_measure_dp(a, b, ApproximantConfig(N=n_steps, merge_tol=0.0))
@@ -185,21 +185,26 @@ def test_bruteforce_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
 
 def test_convergence_study_peaks_at_its_largest_build(rng, traced_peak):
     # each M_N is freed before the next build and only its 23-point transform is
-    # kept, so the study peaks at about one N=2048 build
+    # kept, and the transform holds one slab of coefficients, so the study peaks
+    # at about one N=2048 build
     a, b = _pair(rng, 8, 2)
     schedule = tuple(16 * 2**i for i in range(8))
+    _, build = traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=2048)))
     report, peak = traced_peak(lambda: convergence_study(a, b, schedule))
     assert [p.N for p in report.points] == list(schedule)
     assert peak <= approximant._torus_peak_bytes(2, 2048, 8)
+    assert peak <= 1.05 * build
 
 
 def test_stahl_trace_study_peaks_at_its_largest_build(rng, traced_peak):
     # each measure and its trace measure are freed before the next build
     a, b = hermitian_with_spectrum(rng, [0.0, 1.0], [4, 4]), random_hermitian(rng, 8)
     schedule = tuple(16 * 2**i for i in range(8))
+    _, build = traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=2048)))
     report, peak = traced_peak(lambda: stahl_trace_study(a, b, schedule))
     assert [p.N for p in report.points] == list(schedule)
     assert peak <= approximant._torus_peak_bytes(2, 2048, 8)
+    assert peak <= 1.05 * build
 
 
 def test_counterexample_demo_peaks_at_its_largest_build(traced_peak):

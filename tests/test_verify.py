@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import liemeasure.approximant as approximant
+import liemeasure.linalg as linalg
 import liemeasure.verify as verify
 import liemeasure.verify.approximant as approximant_suite
 import liemeasure.verify.bounds as bounds_suite
@@ -316,7 +317,7 @@ def test_stacked_builds_are_refused_before_allocating(rng, traced_peak, stacked)
 def test_batching_does_not_change_the_results(monkeypatch, seed):
     # a one-byte slab: every block of _slabs holds one case, one build or one torus point
     default = run_suite("all", 60, seed)
-    monkeypatch.setattr(approximant, "_SLAB_BYTES", 1)
+    monkeypatch.setattr(linalg, "_SLAB_BYTES", 1)
     assert run_suite("all", 60, seed) == default
 
 
