@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _check_tol,
     _guarded_binomial,
     _slabs,
     as_int,
@@ -69,8 +70,8 @@ class ApproximantConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "N", as_int(self.N, "N"))
-        if not (self.cluster_tol >= 0 and self.merge_tol >= 0):
-            raise ValueError("tolerances must be non-negative")
+        for name in ("cluster_tol", "merge_tol"):
+            _check_tol(getattr(self, name), name)
 
 
 def _compositions_peak_bytes(total: int, parts: int) -> int:
@@ -171,9 +172,7 @@ def commuting_case_measure(a, b, cluster_tol: float = CLUSTER_TOL) -> DiscreteMa
 def _commuting_measure(dec: SpectralDecomposition, eb: np.ndarray) -> DiscreteMatrixMeasure:
     """commuting_case_measure from a's decomposition and e^b."""
     weights = np.matmul(np.matmul(dec.projectors, eb), dec.projectors)
-    return DiscreteMatrixMeasure(
-        dec.eigenvalues.copy(), weights, N=None, source="commuting-case"
-    )
+    return DiscreteMatrixMeasure(dec.eigenvalues.copy(), weights)
 
 
 def _prepare(a: np.ndarray, b: np.ndarray, cfg: ApproximantConfig):
@@ -223,23 +222,21 @@ def _composition_index(counts: np.ndarray, decs: list[SpectralDecomposition], n_
     return np.take_along_axis(locs, order, axis=1), order, counts @ radix, radix
 
 
-def _collapse(
-    locs: np.ndarray,
-    weights: np.ndarray,
-    dec: SpectralDecomposition,
-    cfg: ApproximantConfig,
-    source: str,
-) -> DiscreteMatrixMeasure:
-    """Turn sorted candidate atoms into a measure, fusing near-equal locations.
+def _fused_starts(locs: np.ndarray, decs, cfg: ApproximantConfig) -> list:
+    """Each row's _merge_starts at merge_tol * max(1, spectral diameter of a), or None where nothing fuses."""
+    starts = [_merge_starts(row, cfg.merge_tol * max(1.0, d.lambda_max - d.lambda_min)) for row, d in zip(locs, decs)]
+    return [None if s.size == locs.shape[1] else s for s in starts]
 
-    When nothing fuses, the measure keeps locs and weights themselves, uncopied.
+
+def _collapse(locs: np.ndarray, weights: np.ndarray, starts, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
+    """Turn sorted candidate atoms into a measure, fusing each run from one of starts to the next.
+
+    When nothing fuses (starts is None), the measure keeps locs and weights themselves, uncopied.
     """
-    span = max(1.0, dec.lambda_max - dec.lambda_min)
-    starts = _merge_starts(locs, cfg.merge_tol * span)
-    if starts.size < locs.size:
+    if starts is not None:
         locs = np.add.reduceat(locs, starts) / np.diff(np.append(starts, locs.size))
         weights = np.add.reduceat(weights, starts, axis=0)
-    return DiscreteMatrixMeasure(locs, weights, N=cfg.N, source=source)
+    return DiscreteMatrixMeasure(locs, weights, N=cfg.N)
 
 
 def build_measure_bruteforce(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
@@ -292,28 +289,36 @@ def _grouped_measures(prods: np.ndarray, decs, cfg: ApproximantConfig) -> list[D
     grouped = np.zeros((k, rows, n, n), dtype=np.complex128)
     targets = _tuple_rows(cells, radix, cfg.N) + rows * np.arange(k)[:, np.newaxis]
     np.add.at(grouped.reshape(k * rows, n, n), targets.reshape(-1), prods.reshape(-1, n, n))
-    return [_collapse(locs[i], grouped[i, order[i]], decs[i], cfg, "bruteforce") for i in range(k)]
+    return [_collapse(locs[i], grouped[i, order[i]], s, cfg) for i, s in enumerate(_fused_starts(locs, decs, cfg))]
 
 
-def _torus_peak_bytes(l: int, n_steps: int, n: int, k: int = 1) -> int:
+def _torus_peak_bytes(l: int, n_steps: int, n: int, k: int = 1, gathered: bool | None = None, fused: int = 0) -> int:
     """Predicted peak bytes of the torus builder for k instances of l clusters, n_steps and dimension n.
 
-    For l <= 2 every grid point is an atom and the grid is the output (when
-    rounding ties the locations, _torus_measures guards a second array
-    again); for l > 2 the output is a second array beside the grid.
+    The largest of its three phases: the composition index, the grids, and
+    the collapse into measures. gathered is the layout _torus_measures chose,
+    the atoms gathered into a second array or the grids as the output (by
+    default for l > 2, where atoms are fewer than grid points); fused counts
+    the atoms of the shorter arrays the collapse sums fused candidates into.
     """
     points = (n_steps + 1) ** (l - 1)
     atoms = math.comb(n_steps + l - 1, l - 1)
+    gathered = l > 2 if gathered is None else gathered
     slab = next(_slabs(1, k * points, 16 * n * n))[1].stop  # the matrices of one slab
-    # the grids, the outputs when they are not the grids, the slabs alive inside one
-    # matrix_power, and five matrices an instance (e^(B/N), the eigenvectors, their
-    # stacked copy, its adjoint and the rotated step) with one more as slack
-    matrices = k * (points if atoms == points else points + atoms) + 4 * slab + 6 * k
-    # the roots, and the index arrays as if all alive at once: a slab's grid indices and
-    # exponents, the composition rows at their peak, and each atom's location, sort order and cell
-    roots = n_steps + 1 if l > 1 else 1
-    index = 8 * (n + l) * slab + _compositions_peak_bytes(n_steps, l) + 24 * k * atoms
-    return 16 * n * n * matrices + 16 * roots + index
+    # the composition rows at their peak, and each atom's location, sort order and cell
+    index = _compositions_peak_bytes(n_steps, l) + 24 * k * atoms
+    # from the grids on: each atom's location, the starts of the fused, and five matrices an instance
+    # (e^(B/N), the eigenvectors, their stacked copy, its adjoint and the rotated step) with one more as slack
+    held = 8 * k * atoms + 8 * fused + 16 * n * n * 6 * k
+    # the grids, the outputs when gathered and the slabs alive inside one matrix_power; the
+    # roots, a slab's grid indices and exponents, and each atom's cell when gathered
+    grids = held + 16 * n * n * (k * (points + gathered * atoms) + 4 * slab)
+    grids += 16 * (n_steps + 1 if l > 1 else 1) + 8 * (n + l) * slab + 8 * gathered * k * atoms
+    # the outputs, one slab for what the last slab leaves and as slack, the larger of one instance's
+    # check temporaries (the locations' gaps and flags, or a flag per weight entry), and the fused
+    # atoms' summed weights and locations
+    collapse = held + 16 * n * n * (k * atoms + slab) + max(9, n * n) * atoms + (16 * n * n + 8) * fused
+    return max(index, grids, collapse)
 
 
 def build_measure_dp(a, b, cfg: ApproximantConfig) -> DiscreteMatrixMeasure:
@@ -365,16 +370,16 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
     in_place = cells.shape[1] == points and (cells == np.arange(points - 1, -1, -1)).all()
     if in_place:
         del cells
-    elif cells.shape[1] == points:
-        # two clusters whose locations tie or fall out of order by rounding: the atoms are
-        # gathered into a second array after all, which the guard above left out
-        guarded_count("torus grid points", big_n + 1, l - 1,
-                      peak_bytes=lambda _: _torus_peak_bytes(l, big_n, n, k) + 16 * n * n * k * points)
+    # guarded again with the layout chosen (gathered when rounding ties two clusters' locations) and the fused atoms
+    starts = _fused_starts(locs, decs, cfg)
+    fused = sum(s.size for s in starts if s is not None)
+    guarded_count("torus grid points", big_n + 1, l - 1,
+                  peak_bytes=lambda _: _torus_peak_bytes(l, big_n, n, k, not in_place, fused))
+    # one root per index of a grid axis (a one-cluster grid reads z = 1 alone), formed before the grid
+    roots = np.exp(-2j * np.pi * np.arange(big_n + 1 if l > 1 else 1) / (big_n + 1))
     grid = np.empty((k,) + (big_n + 1,) * (l - 1) + (n, n), dtype=np.complex128)
     flat = grid.reshape(k, points, n, n)
     rotated_step = adj @ steps @ vecs
-    # one root per index of a grid axis; a one-cluster grid has no axes and reads z = 1 alone
-    roots = np.exp(-2j * np.pi * np.arange(big_n + 1 if l > 1 else 1) / (big_n + 1))
     for inst, items in _slabs(k, points, 16 * n * n):
         idx = np.arange(*items.indices(points)) // radix[:-1, np.newaxis] % (big_n + 1)
         # exponent of z at each eigenvector: its cluster's grid index, 0 for cluster l
@@ -382,6 +387,7 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
         flat[inst, items] = np.linalg.matrix_power(
             roots[expo.swapaxes(1, 2)][..., np.newaxis] * rotated_step[inst, np.newaxis], big_n
         )
+    del roots
     np.fft.ifftn(grid, axes=tuple(range(1, l)), out=grid)
     if in_place:
         # a slab of the front and its mirror at the back are rotated, then written swapped and
@@ -392,11 +398,12 @@ def _torus_measures(decs, steps: np.ndarray, cfg: ApproximantConfig) -> list[Dis
             front = v @ flat[inst, items] @ vh
             flat[inst, items] = (v @ flat[inst, back] @ vh)[:, ::-1]
             flat[inst, back] = front[:, ::-1]
+        del front  # the last slab's, before the collapse
         weights = flat
     else:
         weights = np.empty((k, cells.shape[1], n, n), dtype=np.complex128)
         for inst, items in _slabs(k, cells.shape[1], 16 * n * n):
             rows = np.arange(*inst.indices(k))[:, np.newaxis]
             weights[inst, items] = vecs[inst, np.newaxis] @ flat[rows, cells[inst, items]] @ adj[inst, np.newaxis]
-        del grid, flat
-    return [_collapse(locs[i], weights[i], decs[i], cfg, "dp") for i in range(k)]
+        del grid, flat, cells
+    return [_collapse(locs[i], weights[i], starts[i], cfg) for i in range(k)]

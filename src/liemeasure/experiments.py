@@ -70,6 +70,7 @@ __all__ = [
 
 DEFAULT_SCHEDULE = (4, 8, 16, 32, 64, 128, 256, 512)
 COUNTEREXAMPLE_SCHEDULE = (16, 32, 64, 128, 256, 512)
+_CROSS_TOL = 1e-11  # truth_exponential's cross-check fails a gap above this times max(1, ||e^(t*a+b)||)
 
 
 def default_t_grid() -> np.ndarray:
@@ -78,7 +79,7 @@ def default_t_grid() -> np.ndarray:
     return np.concatenate([real, [1j, -1j]])
 
 
-def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
+def truth_exponential(a, b, t) -> np.ndarray:
     """e^(t*a+b) at a scalar t or at every point of an array t, shape t.shape + (n, n).
 
     One stacked scipy expm covers the grid. At the real points where t*a+b is
@@ -105,7 +106,7 @@ def truth_exponential(a, b, t, cross_tol: float = 1e-11) -> np.ndarray:
         w, v = np.linalg.eigh(_hermitian_parts(xs))
         del xs
         gaps = batched_operator_norms(es - (v * np.exp(w)[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2))
-        failed = gaps > cross_tol * np.maximum(1.0, batched_operator_norms(es))
+        failed = gaps > _CROSS_TOL * np.maximum(1.0, batched_operator_norms(es))
         if failed.any():
             failures.append(gaps[failed].max())
     if failures:

@@ -118,23 +118,49 @@ def as_int(value, name: str, minimum: int = 1, context: str = "") -> int:
     return int(value)
 
 
+def _check_tol(value, name: str) -> None:
+    """ValueError naming the tolerance unless value is a real number >= 0: a bool, str, None, array or NaN is not."""
+    if not (_is_real(value) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative real number, got {value!r}")
+
+
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 array with finite entries, or raise ValueError."""
     return _as_square(value, name, 2)
 
 
-def _as_square(value, name: str, ndim: int) -> np.ndarray:
-    """as_matrix for a matrix (ndim 2) or for a (k, n, n) stack of k >= 1 matrices (ndim 3)."""
+def _as_square(value, name: str, ndim: int, least: int = 1) -> np.ndarray:
+    """as_matrix for a matrix (ndim 2) or for a (k, n, n) stack of k >= least matrices (ndim 3)."""
     try:
         m = np.asarray(value, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: not interpretable as a complex matrix") from exc
-    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or min(m.shape) < 1:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1 or len(m) < least:
         shape = "square matrix" if ndim == 2 else "(k, n, n) stack of square matrices"
         raise ValueError(f"{name}: expected a {shape}, got shape {m.shape}")
     if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValueError(f"{name}: entries must be finite")
     return m
+
+
+def _as_axis(value, name: str, least: int) -> np.ndarray:
+    """A 1-D float array of at least `least` finite, strictly increasing entries, or ValueError naming it."""
+    x = np.asarray(value, dtype=float)
+    if x.ndim != 1 or x.size < least:
+        raise ValueError(f"{name}: expected a 1-D array of length >= {least}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name}: entries must be finite")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError(f"{name}: entries must be strictly increasing")
+    return x
+
+
+def _read_only(obj, **arrays) -> None:
+    """Store each array on the frozen dataclass obj as a read-only view: no reader can write it, nothing is copied."""
+    for name, x in arrays.items():
+        view = x.view()
+        view.flags.writeable = False
+        object.__setattr__(obj, name, view)
 
 
 def as_matrix_pair(a, b) -> tuple[np.ndarray, np.ndarray]:

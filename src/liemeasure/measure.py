@@ -17,11 +17,14 @@ import numpy as np
 from .linalg import (
     LATTICE_LIMIT,
     _GcPaused,
+    _as_axis,
+    _as_square,
     _hermitian_defects,
     _is_real,
     _load_json,
     _psd_stack,
     _re_im,
+    _read_only,
     _slabs,
     as_int,
     batched_operator_norms,
@@ -56,7 +59,6 @@ class DiscreteMatrixMeasure:
     locations: (K,) float array, strictly increasing
     weights:   (K, n, n) complex array, weights[k] sits at locations[k]
     N:         step count of the construction that produced the measure, if any
-    source:    free-form provenance label ("dp", "bruteforce", ...)
 
     locations and weights are stored read-only, as views rather than copies.
     """
@@ -64,30 +66,15 @@ class DiscreteMatrixMeasure:
     locations: np.ndarray
     weights: np.ndarray
     N: int | None = None
-    source: str | None = None
 
     def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        w = np.asarray(self.weights, dtype=np.complex128)
-        if locs.ndim != 1:
-            raise ValueError("locations must be a 1-D array")
-        if w.ndim != 3 or w.shape[1] != w.shape[2] or w.shape[1] < 1:
-            raise ValueError(f"weights must be a (K, n, n) stack, got {w.shape}")
-        if w.shape[0] != locs.size:
+        locs = _as_axis(self.locations, "locations", 0)
+        w = _as_square(self.weights, "weights", 3, 0)
+        if len(w) != locs.size:
             raise ValueError("locations and weights disagree on the atom count")
-        if not np.all(np.isfinite(locs)):
-            raise ValueError("locations must be finite")
-        if not np.isfinite(w).all():  # a complex entry is finite when both parts are
-            raise ValueError("weights must be finite")
-        if np.any(np.diff(locs) <= 0):
-            raise ValueError("locations must be strictly increasing")
         if self.N is not None:
             object.__setattr__(self, "N", as_int(self.N, "N"))
-        # read-only, so the checks above keep holding; views, so nothing is copied
-        locs, w = locs.view(), w.view()
-        locs.flags.writeable = w.flags.writeable = False
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "weights", w)
+        _read_only(self, locations=locs, weights=w)
 
     def __len__(self) -> int:
         return int(self.locations.size)
@@ -95,10 +82,6 @@ class DiscreteMatrixMeasure:
     @property
     def dim(self) -> int:
         return int(self.weights.shape[1])
-
-    @property
-    def atoms(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(l), w) for l, w in zip(self.locations, self.weights)]
 
 
 def _contract(coeff: np.ndarray, m: DiscreteMatrixMeasure) -> np.ndarray:
@@ -188,7 +171,7 @@ def trace_measure(m: DiscreteMatrixMeasure) -> DiscreteMatrixMeasure:
         traces = np.trace(m.weights, axis1=1, axis2=2)
     if not np.isfinite(traces).all():
         raise OverflowError(f"the trace of atom {np.flatnonzero(~np.isfinite(traces))[0]} leaves the float range")
-    return DiscreteMatrixMeasure(m.locations.copy(), traces.reshape(-1, 1, 1), N=m.N, source=m.source)
+    return DiscreteMatrixMeasure(m.locations.copy(), traces.reshape(-1, 1, 1), N=m.N)
 
 
 def is_nonnegative_measure(m: DiscreteMatrixMeasure) -> bool:
@@ -261,7 +244,7 @@ def measure_from_json(obj) -> DiscreteMatrixMeasure:
     # part by part, not re + 1j*im, which loses the sign of a zero part
     weights.real = table[:, 1:1 + n * n].reshape(len(rows), n, n)
     weights.imag = table[:, 1 + n * n:].reshape(len(rows), n, n)
-    return DiscreteMatrixMeasure(table[:, 0].copy(), weights, N=nsteps, source="json")
+    return DiscreteMatrixMeasure(table[:, 0].copy(), weights, N=nsteps)
 
 
 # what the json parser makes of a number; a bool is not one

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _hermitian_parts, _hermitian_stack, as_int, as_matrix
+from .linalg import _as_axis, _as_square, _check_tol, _hermitian_parts, _hermitian_stack, _read_only, as_int, as_matrix
 
 __all__ = ["CLUSTER_TOL", "SpectralDecomposition", "decompose", "apply_function", "scaled_exp"]
 
@@ -40,34 +40,17 @@ class SpectralDecomposition:
     labels: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.vectors, dtype=np.complex128)
+        lam = _as_axis(self.eigenvalues, "eigenvalues", 1)
+        vecs = _as_square(self.vectors, "vectors", 2)
         labels = np.asarray(self.labels)
-        if lam.ndim != 1 or lam.size < 1:
-            raise ValueError("eigenvalues must be a non-empty 1-D array")
-        if not np.isfinite(lam).all():
-            raise ValueError("eigenvalues must be finite")
-        if np.any(np.diff(lam) <= 0):
-            raise ValueError("eigenvalues must be strictly increasing")
-        if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1]:
-            raise ValueError(f"vectors must be a square matrix, got shape {vecs.shape}")
-        if not np.isfinite(vecs).all():  # a complex entry is finite when both parts are
-            raise ValueError("vectors must be finite")
-        if labels.shape != (vecs.shape[0],) or labels.dtype.kind not in "iu":
-            raise ValueError(f"labels must be {vecs.shape[0]} integers, one per column of vectors")
+        if labels.shape != (len(vecs),) or labels.dtype.kind not in "iu":
+            raise ValueError(f"labels: expected {len(vecs)} integers, one per column of vectors")
         if set(labels.tolist()) != set(range(lam.size)):
-            raise ValueError(f"labels must name every cluster 0..{lam.size - 1} and no other")
-        # read-only, so the checks above keep holding; views, so nothing is copied
-        for name, x in (("eigenvalues", lam), ("vectors", vecs), ("labels", labels)):
-            object.__setattr__(self, name, x.view())
-            getattr(self, name).flags.writeable = False
+            raise ValueError(f"labels: must name every cluster 0..{lam.size - 1} and no other")
+        _read_only(self, eigenvalues=lam, vectors=vecs, labels=labels)
 
     def __len__(self) -> int:
         return int(self.eigenvalues.size)
-
-    @property
-    def source_dim(self) -> int:
-        return int(self.vectors.shape[0])
 
     @property
     def lambda_min(self) -> float:
@@ -98,8 +81,7 @@ def decompose(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
         merged into one cluster; the cluster eigenvalue is the mean, summed in
         ascending order (np.mean's value for clusters of fewer than 8).
     """
-    if not (cluster_tol >= 0):
-        raise ValueError("cluster_tol must be non-negative")
+    _check_tol(cluster_tol, "cluster_tol")
     return _decompose_stack(as_matrix(a, "a")[np.newaxis], cluster_tol)[0]
 
 

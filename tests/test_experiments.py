@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import liemeasure.experiments as experiments
 import liemeasure.linalg as linalg
 from liemeasure.approximant import ApproximantConfig, build_measure_dp
 from liemeasure.experiments import (
@@ -63,17 +64,18 @@ def test_truth_exponential_on_a_grid_matches_per_point_expm(rng, shape):
         assert got[idx].tobytes() == scipy.linalg.expm(t[idx] * a + b).tobytes()
 
 
-def test_truth_exponential_cross_checks_only_real_hermitian_points(rng):
+def test_truth_exponential_cross_checks_only_real_hermitian_points(rng, monkeypatch):
     a = random_hermitian(rng, 3)
     h = random_hermitian(rng, 3)
     grid = np.array([0.5, -1.0, 1j])
     # a negative tolerance fails every point the cross-check visits
+    monkeypatch.setattr(experiments, "_CROSS_TOL", -1.0)
     with pytest.raises(RuntimeError, match=r"^exponential cross-check failed: spectral vs series gap "):
-        truth_exponential(a, h, grid, cross_tol=-1.0)
-    truth_exponential(a, h, np.array([1j, -2j]), cross_tol=-1.0)  # no real point
+        truth_exponential(a, h, grid)
+    truth_exponential(a, h, np.array([1j, -2j]))  # no real point
     # with a = 0, t*a+b is Hermitian at every t, but only real t are cross-checked
-    truth_exponential(np.zeros((3, 3)), h, np.array([1j, -2j]), cross_tol=-1.0)
-    truth_exponential(a, random_matrix(rng, 3), grid, cross_tol=-1.0)  # t*a+b not Hermitian
+    truth_exponential(np.zeros((3, 3)), h, np.array([1j, -2j]))
+    truth_exponential(a, random_matrix(rng, 3), grid)  # t*a+b not Hermitian
     with pytest.raises(ValueError, match="finite"):
         truth_exponential(a, h, np.array([0.0, np.nan]))
 
@@ -92,8 +94,9 @@ def test_truth_cross_check_names_the_largest_gap_over_every_slab(rng, monkeypatc
     monkeypatch.setattr(linalg, "_SLAB_BYTES", 16 * 16 * 9)
     assert truth_exponential(a, h, grid).tobytes() == whole.tobytes()
     message = rf"^exponential cross-check failed: spectral vs series gap {gaps.max():.3e}$"
+    monkeypatch.setattr(experiments, "_CROSS_TOL", -1.0)
     with pytest.raises(RuntimeError, match=message):
-        truth_exponential(a, h, grid, cross_tol=-1.0)
+        truth_exponential(a, h, grid)
 
 
 def test_exp_curve_derivative_order_zero_is_exp_b(rng):

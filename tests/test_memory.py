@@ -1,5 +1,7 @@
 """The torus builder's slabs, the byte budget's peak-bytes predictions, and bounded measure I/O and t-grids."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def _one_shot(a, b, n_steps):
     """Locations and weights by the whole-grid formula: one matrix power, one ifftn."""
     decs, steps = approximant._prepare(a[np.newaxis], b[np.newaxis], ApproximantConfig(N=n_steps))
     dec, step = decs[0], steps[0]
-    l, n = len(dec), dec.source_dim
+    l, n = len(dec), len(dec.vectors)
     shape = (n_steps + 1,) * (l - 1)
     points = (n_steps + 1) ** (l - 1)
     idx = np.indices(shape).reshape(l - 1, points)
@@ -130,12 +132,43 @@ def test_measure_keeps_the_builders_array_read_only(rng, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
-@pytest.mark.parametrize("n, l, n_steps", [(8, 2, 1024), (3, 3, 128), (4, 4, 24), (2, 2, 20000), (5, 3, 60)])
+def _summed_torus_peak_bytes(l, n_steps, n, k=1):
+    """The torus builder's earlier prediction: every phase's arrays summed as if all alive at once."""
+    points = (n_steps + 1) ** (l - 1)
+    atoms = math.comb(n_steps + l - 1, l - 1)
+    slab = next(linalg._slabs(1, k * points, 16 * n * n))[1].stop
+    matrices = k * (points if atoms == points else points + atoms) + 4 * slab + 6 * k
+    roots = n_steps + 1 if l > 1 else 1
+    index = 8 * (n + l) * slab + approximant._compositions_peak_bytes(n_steps, l) + 24 * k * atoms
+    return 16 * n * n * matrices + 16 * roots + index
+
+
+@pytest.mark.parametrize(
+    "n, l, n_steps", [(8, 2, 1024), (3, 3, 128), (4, 4, 24), (2, 2, 20000), (5, 3, 60), (12, 2, 20000)]
+)
 def test_torus_peak_bytes_prediction(rng, traced_peak, n, l, n_steps):
     a, b = _pair(rng, n, l)
     _, peak = traced_peak(lambda: build_measure_dp(a, b, ApproximantConfig(N=n_steps)))
     predicted = approximant._torus_peak_bytes(l, n_steps, n)
     assert peak <= predicted <= 2 * peak
+    if (n, l, n_steps) == (2, 2, 20000):  # the grid phase, with no index array beside it
+        assert predicted <= 1.05 * peak
+    if n == 12:  # the collapse's flag per weight entry outgrew the summed prediction's slack
+        assert _summed_torus_peak_bytes(l, n_steps, n) < peak
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_torus_peak_bytes_never_exceeds_the_summed_prediction(l, k):
+    # up to n = 8; past it, two-cluster builds of large N need more than the sum, as the
+    # n = 12 case of test_torus_peak_bytes_prediction traces
+    for n in range(l, 9):
+        for n_steps in (1, 2, 7, 64, 1000, 10**5, 10**7):
+            summed = _summed_torus_peak_bytes(l, n_steps, n, k)
+            assert approximant._torus_peak_bytes(l, n_steps, n, k) <= summed, (n, n_steps)
+            if l == 2:  # ties: the atoms are gathered beside the grid, as a second array
+                gathered = approximant._torus_peak_bytes(l, n_steps, n, k, True)
+                assert gathered <= summed + 16 * n * n * k * (n_steps + 1), (n, n_steps)
 
 
 def test_the_guard_admits_a_two_cluster_build_whose_grid_is_its_output(rng, monkeypatch, traced_peak):
@@ -170,8 +203,26 @@ def test_a_two_cluster_build_out_of_location_order_is_guarded_as_two_arrays(rng,
     one_grid = approximant._torus_peak_bytes(2, 1024, 2)
     monkeypatch.setattr(linalg, "BYTE_BUDGET", one_grid)
     assert len(build_measure_dp(*_pair(rng, 2, 2), cfg)) == 1025
-    need = one_grid + 16 * 4 * 1025
+    need = approximant._torus_peak_bytes(2, 1024, 2, gathered=True, fused=1)
+    assert need > one_grid
     with pytest.raises(ResourceLimitError, match=rf"^torus grid points: 1025 would need {need} bytes, over"):
+        build_measure_dp(a, b, cfg)
+
+
+def test_a_build_whose_atoms_fuse_is_guarded_with_their_sums(rng, monkeypatch, traced_peak):
+    # eigenvalues 0 and 1e-4 over N = 100000 steps: neighbouring locations lie about merge_tol
+    # apart, so about a third of them fuse, and the collapse sums the atoms into new arrays
+    # beside the grid
+    a, b = np.diag([0.0, 1e-4]), random_matrix(rng, 2)
+    cfg = ApproximantConfig(N=100000)
+    m, peak = traced_peak(lambda: build_measure_dp(a, b, cfg))
+    assert 0 < len(m) < 100001
+    unfused = approximant._torus_peak_bytes(2, 100000, 2)
+    predicted = approximant._torus_peak_bytes(2, 100000, 2, gathered=False, fused=len(m))
+    assert unfused < peak <= predicted <= 1.1 * peak
+    monkeypatch.setattr(linalg, "BYTE_BUDGET", unfused)
+    assert len(build_measure_dp(*_pair(rng, 2, 2), cfg)) == 100001  # nothing fuses: admitted
+    with pytest.raises(ResourceLimitError, match=rf"^torus grid points: 100001 would need {predicted} bytes, over"):
         build_measure_dp(a, b, cfg)
 
 

@@ -235,7 +235,7 @@ def _instances(rng, count):
 def _same_measure(got, want):
     assert got.locations.tobytes() == want.locations.tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
-    assert (got.N, got.source) == (want.N, want.source)
+    assert got.N == want.N
 
 
 def test_stacked_builders_equal_single_builds_bit_for_bit(rng):
